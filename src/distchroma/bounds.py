@@ -11,7 +11,7 @@ graph equal to the complete graph K_M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
 from . import coloring as col
@@ -64,28 +64,24 @@ class MooreCertificate:
         }
 
 
-def detect_moore(g: Graph, gamma: int) -> MooreCertificate:
-    """Four-condition Moore check: Delta-regular, order M+1, girth 2*gamma+1,
-    diameter gamma. No hardcoded graph list; works on arbitrary inputs."""
-    if not met.is_connected(g):
-        raise ValueError("Moore detection requires a connected graph")
-    delta = g.max_degree()
-    if delta < 3:
-        raise ValueError("Moore detection requires maximum degree >= 3")
-    if gamma < 2:
-        raise ValueError("gamma must be >= 2")
+def _moore_certificate(g: Graph, gamma: int, delta: int, gir, diam) -> MooreCertificate:
     m_value = max_power_degree(delta, gamma)
     checks = MooreChecks(
         is_regular=g.min_degree() == delta,
         order_matches=g.n == m_value + 1,
-        girth_is_2gamma_plus_1=met.girth(g) == 2 * gamma + 1,
-        diameter_is_gamma=met.diameter(g) == gamma,
+        girth_is_2gamma_plus_1=gir == 2 * gamma + 1,
+        diameter_is_gamma=diam == gamma,
     )
-    is_moore = all(
-        (checks.is_regular, checks.order_matches,
-         checks.girth_is_2gamma_plus_1, checks.diameter_is_gamma)
-    )
-    return MooreCertificate(delta, gamma, m_value + 1, checks, is_moore)
+    return MooreCertificate(delta, gamma, m_value + 1, checks, all(astuple(checks)))
+
+
+def detect_moore(g: Graph, gamma: int) -> MooreCertificate:
+    """Four-condition Moore check: Delta-regular, order M+1, girth 2*gamma+1,
+    diameter gamma. No hardcoded graph list; works on arbitrary inputs."""
+    if not col.in_scope(g, gamma):
+        raise ValueError("Moore detection requires a connected graph with "
+                         "maximum degree >= 3")
+    return _moore_certificate(g, gamma, g.max_degree(), met.girth(g), met.diameter(g))
 
 
 @dataclass(frozen=True)
@@ -162,35 +158,10 @@ def evaluate_bounds(
 
     Raises SoundnessViolation if the exact value beats an applicable bound.
     """
-    if not met.is_connected(g):
-        raise ValueError("bound evaluation requires a connected graph")
-    delta = g.max_degree()
-    if delta < 3:
-        raise ValueError("bound evaluation requires maximum degree >= 3")
-    if gamma < 2:
-        raise ValueError("gamma must be >= 2")
-
+    hyp = col.save_color_hypotheses(g, gamma)
+    delta, gir = hyp.max_degree, hyp.girth
     m_value = max_power_degree(delta, gamma)
-    dmin = g.min_degree()
-    gir = met.girth(g)
-    diam = met.diameter(g)
-    moore = MooreCertificate(
-        delta,
-        gamma,
-        m_value + 1,
-        MooreChecks(
-            is_regular=dmin == delta,
-            order_matches=g.n == m_value + 1,
-            girth_is_2gamma_plus_1=gir == 2 * gamma + 1,
-            diameter_is_gamma=diam == gamma,
-        ),
-        is_moore=(
-            dmin == delta
-            and g.n == m_value + 1
-            and gir == 2 * gamma + 1
-            and diam == gamma
-        ),
-    )
+    moore = _moore_certificate(g, gamma, delta, gir, met.diameter(g))
 
     entries: list[BoundEntry] = []
 
@@ -202,17 +173,13 @@ def evaluate_bounds(
     add("power-degree-plus-one", m_value + 1, delta=delta)
     add("girth-not-critical", m_value,
         applicable=gir != 2 * gamma + 1, girth=gir)
-    add("non-regular", m_value - 1,
-        applicable=dmin < delta, min_degree=dmin, max_degree=delta)
-    add("short-girth", m_value - 1,
-        applicable=gir != math.inf and gir <= 2 * gamma - 1, girth=gir)
-
-    girth_window = gir >= 2 * gamma + 2 and (gamma >= 3 or gir > 6)
-    kappa = met.vertex_connectivity(g) if girth_window else None
-    need = 3 if gamma >= 3 else 4
+    add("non-regular", m_value - 1, applicable=hyp.non_regular,
+        min_degree=hyp.min_degree, max_degree=delta)
+    add("short-girth", m_value - 1, applicable=hyp.short_girth, girth=gir)
     add("high-girth-connected", m_value - 1,
-        applicable=girth_window and kappa is not None and kappa >= need,
-        girth=gir, connectivity=kappa, required_connectivity=need)
+        applicable=hyp.high_girth_connected, girth=gir,
+        connectivity=hyp.connectivity,
+        required_connectivity=hyp.required_connectivity)
 
     threshold = odd_degree_threshold(gamma)
     add("odd-degree-large", m_value - 1,
@@ -387,14 +354,14 @@ def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> d
     """Classify one graph6 line; returns a plain dict so pool workers can
     ship it cheaply."""
     g = parse_graph6(line)
-    delta = g.max_degree()
-    if delta < 3 or not met.is_connected(g):
+    if not col.in_scope(g, gamma):
         return {"status": "out-of-scope", "graph6": line}
+    delta = g.max_degree()
     m_value = max_power_degree(delta, gamma)
-    cert = detect_moore(g, gamma)
+    gir = met.girth(g)
+    cert = _moore_certificate(g, gamma, delta, gir, met.diameter(g))
     pg = met.power_graph(g, gamma).graph
     complete_m = g.n == m_value and pg.m == g.n * (g.n - 1) // 2
-    gir = met.girth(g)
     rec = {
         "status": "scanned",
         "graph6": line,
@@ -413,6 +380,43 @@ def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> d
     return rec
 
 
+def map_lines(fn, lines: list[str], *args, jobs: int = 1) -> list:
+    """``fn(line, *args)`` for every line, in input order; over a pool of
+    ``jobs`` worker processes when jobs > 1."""
+    if jobs > 1 and len(lines) > 1:
+        import multiprocessing as mp
+
+        with mp.Pool(jobs) as pool:
+            return pool.starmap(fn, ((ln, *args) for ln in lines), chunksize=64)
+    return [fn(ln, *args) for ln in lines]
+
+
+def fold_scan(records: Iterable[dict], gamma: int) -> ScanReport:
+    """Count scan_one records into a ScanReport, listing the candidates."""
+    report = ScanReport(gamma=gamma)
+    for rec in records:
+        if rec["status"] == "out-of-scope":
+            report.out_of_scope += 1
+            continue
+        if rec["status"] == "skipped":
+            report.skipped += 1
+            continue
+        report.scanned += 1
+        report.moore_count += rec["is_moore"]
+        report.girth_2gamma_count += rec["girth_2gamma"]
+        chi = rec["chi"]
+        if not rec["is_moore"] and chi is not None and chi >= rec["m_value"]:
+            report.chi_equals_m.append(_candidate("chi-equals-m", rec))
+        if rec["power_complete_m"]:
+            report.power_complete_m.append(_candidate("power-complete-m", rec))
+    return report
+
+
+def _candidate(kind: str, rec: dict) -> ScanCandidate:
+    invariants = met.invariants(parse_graph6(rec["graph6"])).to_json_dict()
+    return ScanCandidate(kind, rec["graph6"], rec["chi"], rec["m_value"], invariants)
+
+
 def conjecture_scan(
     lines: Iterable[str],
     gamma: int,
@@ -429,41 +433,7 @@ def conjecture_scan(
     if gamma < 2:
         raise ValueError("gamma must be >= 2")
     todo = [ln.strip() for ln in lines if ln.strip()]
-    if jobs > 1 and len(todo) > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs) as pool:
-            records = pool.starmap(
-                scan_one, ((ln, gamma, exact_cap) for ln in todo), chunksize=64
-            )
-    else:
-        records = [scan_one(ln, gamma, exact_cap) for ln in todo]
-
-    report = ScanReport(gamma=gamma)
-    for rec in records:
-        if rec["status"] == "out-of-scope":
-            report.out_of_scope += 1
-            continue
-        if rec["status"] == "skipped":
-            report.skipped += 1
-            continue
-        report.scanned += 1
-        if rec["is_moore"]:
-            report.moore_count += 1
-        if rec["girth_2gamma"]:
-            report.girth_2gamma_count += 1
-        chi = rec["chi"]
-        if not rec["is_moore"] and chi is not None and chi >= rec["m_value"]:
-            g = parse_graph6(rec["graph6"])
-            report.chi_equals_m.append(ScanCandidate(
-                "chi-equals-m", rec["graph6"], chi, rec["m_value"],
-                met.invariants(g).to_json_dict()))
-        if rec["power_complete_m"]:
-            g = parse_graph6(rec["graph6"])
-            report.power_complete_m.append(ScanCandidate(
-                "power-complete-m", rec["graph6"], chi, rec["m_value"],
-                met.invariants(g).to_json_dict()))
-    return report
+    return fold_scan(map_lines(scan_one, todo, gamma, exact_cap, jobs=jobs), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +490,8 @@ def resolve_odd_degree_case(
     if power_delta_offset == -1 and chi_offset == 0:
         # chi = max degree + 1 forces the power to be complete of order M;
         # a Delta-regular graph of odd order M then has odd degree sum.
-        assert m_value % 2 == 1, "M inherits oddness from delta"
+        if m_value % 2 != 1:
+            raise AssertionError("M inherits oddness from delta")
         return OddCaseOutcome(
             power_delta_offset, chi_offset, "parity",
             (
@@ -534,7 +505,8 @@ def resolve_odd_degree_case(
         # large-degree clique bound forces a clique of size M; the order
         # exceeds M (else the power is K_M with max degree M-1), so the
         # power properly contains K_M, impossible for non-Moore graphs.
-        assert m_value >= 10**14
+        if m_value < 10**14:
+            raise AssertionError(f"M = {m_value} below 10^14 past the threshold")
         return OddCaseOutcome(
             power_delta_offset, chi_offset, "clique-exclusion",
             (

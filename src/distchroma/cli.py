@@ -150,16 +150,14 @@ def _corpus_lines(path: str) -> list[str] | None:
 
 def _eval_one(line: str, gamma: int, cap: int) -> dict:
     g = parse_graph6(line)
-    try:
-        report = bnd.evaluate_bounds(g, gamma, exact_cap=cap)
-    except ValueError:
-        # disconnected or max degree < 3: out of scope, not an error
+    if not col.in_scope(g, gamma):
         return {
             "id": line, "n": g.n, "delta": g.max_degree(), "gamma": gamma,
             "M": None, "best_bound": None, "exact_chi": None,
             "equality_class": "out-of-scope",
             "report": {"graph6": line, "status": "out-of-scope"},
         }
+    report = bnd.evaluate_bounds(g, gamma, exact_cap=cap)
     row = _bounds_row(report, g.n)
     row["report"] = report.to_json_dict()
     return row
@@ -186,15 +184,7 @@ def cmd_bounds(args) -> int:
             _emit(payload, args.output)
         return EXIT_OK
 
-    if args.jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(args.jobs) as pool:
-            rows = pool.starmap(
-                _eval_one, ((ln, args.gamma, args.cap) for ln in corpus),
-                chunksize=64)
-    else:
-        rows = [_eval_one(ln, args.gamma, args.cap) for ln in corpus]
+    rows = bnd.map_lines(_eval_one, corpus, args.gamma, args.cap, jobs=args.jobs)
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -236,81 +226,62 @@ def cmd_formulas(args) -> int:
     return EXIT_OK
 
 
+def _resumed_records(args) -> tuple[list[dict], bool] | None:
+    """Records already in the output of an earlier run and whether that run
+    finished (its last line is the summary); None when starting afresh.
+    Raises ValueError when the earlier run's header has another config."""
+    if not (args.output and args.resume and os.path.exists(args.output)):
+        return None
+    with open(args.output, "r", encoding="utf-8") as fh:
+        rows = [json.loads(ln) for ln in fh if ln.strip()]
+    if not rows:
+        return None
+    config = rows[0].get("header", {}).get("config", {})
+    changed = [k for k in ("gamma", "cap", "input") if config.get(k) != getattr(args, k)]
+    if changed:
+        raise ValueError(f"cannot resume {args.output}: its header has another "
+                         f"{', '.join(changed)}")
+    return [r for r in rows[1:] if "status" in r], "summary" in rows[-1]
+
+
 def cmd_scan(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    start = 0
+    resumed = _resumed_records(args)
+    records, finished = resumed or ([], False)
     out_fh = None
-    if args.output:
-        if args.resume and os.path.exists(args.output):
-            with open(args.output, "r", encoding="utf-8") as existing:
-                done = sum(1 for ln in existing if ln.strip()) - 1  # header line
-            start = max(0, done)
-        out_fh = open(args.output, "a" if start else "w", encoding="utf-8")
 
     def write(obj: dict) -> None:
-        text = json.dumps(obj, sort_keys=True)
-        if out_fh:
-            out_fh.write(text + "\n")
-        else:
-            print(text)
+        out_fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
-    skipped = 0
     try:
-        if start == 0:
-            write({"header": _header(args)})
-        todo = lines[start:]
-        if args.jobs > 1 and len(todo) > 1:
-            import multiprocessing as mp
-
-            with mp.Pool(args.jobs) as pool:
-                records = pool.starmap(
-                    bnd.scan_one, ((ln, args.gamma, args.cap) for ln in todo),
-                    chunksize=64)
-        else:
-            records = [bnd.scan_one(ln, args.gamma, args.cap) for ln in todo]
-        for rec in records:
-            write(rec)
-        report = _fold_scan(records, args.gamma)
-        skipped = report.skipped
-        write({"summary": report.to_json_dict()})
+        if not finished:
+            out_fh = (open(args.output, "a" if resumed else "w", encoding="utf-8")
+                      if args.output else sys.stdout)
+            if resumed is None:
+                write({"header": _header(args)})
+            new = bnd.map_lines(bnd.scan_one, lines[len(records):], args.gamma,
+                                args.cap, jobs=args.jobs)
+            for rec in new:
+                write(rec)
+            records = records + new
+        report = bnd.fold_scan(records, args.gamma)
+        if out_fh:
+            write({"summary": report.to_json_dict()})
     except KeyboardInterrupt:
         if out_fh:
             out_fh.flush()
         print("interrupted; partial results flushed", file=sys.stderr)
         return 130
     finally:
-        if out_fh:
+        if out_fh and args.output:
             out_fh.close()
     if report.chi_equals_m or report.power_complete_m:
         print("counterexample candidate found", file=sys.stderr)
         return EXIT_SOUNDNESS
-    if skipped and args.strict:
+    if report.skipped and args.strict:
         return EXIT_ERROR
     return EXIT_OK
-
-
-def _fold_scan(records: list[dict], gamma: int) -> bnd.ScanReport:
-    report = bnd.ScanReport(gamma=gamma)
-    for rec in records:
-        if rec["status"] == "out-of-scope":
-            report.out_of_scope += 1
-        elif rec["status"] == "skipped":
-            report.skipped += 1
-        else:
-            report.scanned += 1
-            report.moore_count += bool(rec["is_moore"])
-            report.girth_2gamma_count += bool(rec["girth_2gamma"])
-            chi = rec["chi"]
-            if not rec["is_moore"] and chi is not None and chi >= rec["m_value"]:
-                report.chi_equals_m.append(bnd.ScanCandidate(
-                    "chi-equals-m", rec["graph6"], chi, rec["m_value"],
-                    met.invariants(parse_graph6(rec["graph6"])).to_json_dict()))
-            if rec["power_complete_m"]:
-                report.power_complete_m.append(bnd.ScanCandidate(
-                    "power-complete-m", rec["graph6"], chi, rec["m_value"],
-                    met.invariants(parse_graph6(rec["graph6"])).to_json_dict()))
-    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when any graph was skipped")
     p.add_argument("--resume", action="store_true",
-                   help="continue an interrupted scan by line offset")
+                   help="continue the scan in --output: skip the graphs it "
+                        "already has records for; a finished scan is left as is")
     p.set_defaults(func=cmd_scan)
     return parser
 

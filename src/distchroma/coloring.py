@@ -178,14 +178,15 @@ def chromatic_number(
     witness = dsatur_upper_bound(g)
     if witness.k == lb:
         return lb, witness
+    chi = witness.k
     for k in range(lb, witness.k):
         found = _solve_k(g, k, node_budget, deadline)
         if found is not None:
-            result = normalize_coloring(found)
-            assert result.proper_on(g)
-            return k, result
-    assert witness.proper_on(g)
-    return witness.k, witness
+            chi, witness = k, normalize_coloring(found)
+            break
+    if not witness.proper_on(g):
+        raise AssertionError(f"the {chi}-coloring found is not proper")
+    return chi, witness
 
 
 def distance_chromatic_number(
@@ -416,7 +417,50 @@ def complete_partial_coloring(
 
 
 # ---------------------------------------------------------------------------
-# constructive save-a-color strategies
+# the save-a-color hypotheses and the strategies that realize them
+
+
+def in_scope(g: Graph, gamma: int) -> bool:
+    """Whether g is in the setting of the bounds and the strategies:
+    connected with maximum degree >= 3. A gamma below 2 is a usage error,
+    not a graph out of scope, so it raises ValueError."""
+    if gamma < 2:
+        raise ValueError(f"gamma must be >= 2, got {gamma}")
+    return g.max_degree() >= 3 and is_connected(g)
+
+
+@dataclass(frozen=True)
+class SaveColorHypotheses:
+    """The three sufficient conditions for chi_gamma <= M - 1, with their
+    evidence: the bound report claims each one that holds, and
+    save_color_strategy realizes the first that holds, in field order."""
+
+    max_degree: int
+    min_degree: int
+    girth: int | float
+    connectivity: int | None  # computed only inside the girth window
+    required_connectivity: int
+    non_regular: bool
+    short_girth: bool
+    high_girth_connected: bool
+
+
+def save_color_hypotheses(g: Graph, gamma: int) -> SaveColorHypotheses:
+    """Evaluate non-regularity, girth <= 2*gamma-1, and high girth (the
+    window below) with vertex connectivity >= 3 (gamma >= 3) or >= 4
+    (gamma = 2). Raises ValueError outside the scope of in_scope."""
+    if not in_scope(g, gamma):
+        raise ValueError("requires a connected graph with maximum degree >= 3")
+    delta, dmin, gir = g.max_degree(), g.min_degree(), girth(g)
+    window = gir >= 2 * gamma + 2 and (gamma >= 3 or gir > 6)
+    kappa = vertex_connectivity(g) if window else None
+    need = 3 if gamma >= 3 else 4
+    return SaveColorHypotheses(
+        delta, dmin, gir, kappa, need,
+        non_regular=dmin < delta,
+        short_girth=gir <= 2 * gamma - 1,
+        high_girth_connected=kappa is not None and kappa >= need,
+    )
 
 
 @dataclass(frozen=True)
@@ -469,39 +513,23 @@ def save_color_strategy(
     cap: int = DEFAULT_EXACT_CAP,
 ) -> StrategyOutcome:
     """Try to color the gamma-th power with M-1 colors, one below the
-    largest possible power-graph degree, using whichever structural
-    hypothesis holds: non-regularity, a short cycle (girth <= 2*gamma-1),
-    or high girth with enough connectivity. Falls back to the exact solver
+    largest possible power-graph degree, using the first of the
+    save_color_hypotheses that holds. Falls back to the exact solver
     (flagged) when the constructive run fails, so callers never depend on
     its completeness.
     """
-    if gamma < 2:
-        raise ValueError("strategies assume gamma >= 2")
-    if not is_connected(g):
-        raise ValueError("requires a connected graph")
-    delta = g.max_degree()
-    if delta < 3:
-        raise ValueError("requires maximum degree >= 3")
-
+    hyp = save_color_hypotheses(g, gamma)
+    delta = hyp.max_degree
     m_value = max_power_degree(delta, gamma)
     palette = m_value - 1
-    dmin = g.min_degree()
-    gir = girth(g)
-    hypotheses: dict = {"max_degree": delta, "min_degree": dmin, "girth": gir}
-
-    applied = "not-applicable"
-    if dmin < delta:
-        applied = "non-regular"
-    elif gir != float("inf") and gir <= 2 * gamma - 1:
-        applied = "short-girth"
-    else:
-        need_kappa = 3 if gamma >= 3 else 4
-        girth_ok = gir >= 2 * gamma + 2 and (gamma >= 3 or gir > 6)
-        if girth_ok:
-            kappa = vertex_connectivity(g)
-            hypotheses["connectivity"] = kappa
-            if kappa >= need_kappa:
-                applied = "high-girth"
+    hypotheses: dict = {"max_degree": delta, "min_degree": hyp.min_degree,
+                        "girth": hyp.girth}
+    if hyp.connectivity is not None:
+        hypotheses["connectivity"] = hyp.connectivity
+    applied = next((name for name, holds in (
+        ("non-regular", hyp.non_regular),
+        ("short-girth", hyp.short_girth),
+        ("high-girth", hyp.high_girth_connected)) if holds), "not-applicable")
 
     if applied == "not-applicable":
         return StrategyOutcome(
@@ -510,27 +538,22 @@ def save_color_strategy(
         )
 
     pg = power_graph(g, gamma)
-    if applied == "non-regular":
-        v = min(w for w in range(g.n) if g.degree(w) == dmin)
-        u = min(g.neighbors(v))
-        pc = PartialColoring(pg, palette)
-        order = order_by_distance_from_edge(g, u, v)
-        result = _finish(pc, order, u, v)
-        seeds = {"u": u, "v": v, "precolored": {}}
-        attempts = 1
-    elif applied == "short-girth":
-        cycle = shortest_cycle(g)
-        assert cycle is not None
-        pairs = [tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))
-                 for i in range(len(cycle))]
-        u, v = min(pairs)
-        pc = PartialColoring(pg, palette)
-        order = order_by_distance_from_edge(g, u, v)
-        result = _finish(pc, order, u, v)
-        seeds = {"u": u, "v": v, "precolored": {}, "cycle": cycle}
-        attempts = 1
-    else:
+    if applied == "high-girth":
         result, seeds, attempts = _high_girth_strategy(g, pg, gamma, palette)
+    else:
+        if applied == "non-regular":
+            v = min(w for w in range(g.n) if g.degree(w) == hyp.min_degree)
+            u = min(g.neighbors(v))
+            seeds = {"u": u, "v": v, "precolored": {}}
+        else:
+            cycle = _girth_cycle(g)
+            pairs = [tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))
+                     for i in range(len(cycle))]
+            u, v = min(pairs)
+            seeds = {"u": u, "v": v, "precolored": {}, "cycle": cycle}
+        order = order_by_distance_from_edge(g, u, v)
+        result = _finish(PartialColoring(pg, palette), order, u, v)
+        attempts = 1
 
     coloring = result if isinstance(result, Coloring) else None
     failure = result if isinstance(result, CompletionFailure) else None
@@ -540,20 +563,27 @@ def save_color_strategy(
         if k <= palette:
             coloring = witness
             used_fallback = True
-    if coloring is not None:
-        assert coloring.proper_on(pg.graph)
-        assert coloring.k <= palette
+    if coloring is not None and not (
+            coloring.proper_on(pg.graph) and coloring.k <= palette):
+        raise AssertionError(
+            f"{applied}: {coloring.k} colors, not a proper coloring within {palette}")
     return StrategyOutcome(
         applied, gamma, delta, m_value, palette, hypotheses,
         seeds, coloring, failure, used_fallback, attempts,
     )
 
 
+def _girth_cycle(g: Graph) -> list[int]:
+    cycle = shortest_cycle(g)
+    if cycle is None:
+        raise AssertionError("a girth hypothesis holds on a graph without cycles")
+    return cycle
+
+
 def _high_girth_strategy(g: Graph, pg: PowerGraph, gamma: int, palette: int):
     """Seed search along a shortest cycle, first success in lexicographic
     rotation/orientation order."""
-    cycle = shortest_cycle(g)
-    assert cycle is not None
+    cycle = _girth_cycle(g)
     glen = len(cycle)
     all_vertices = set(range(g.n))
     attempts = 0

@@ -102,16 +102,35 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def validate(g: Graph) -> None:
-    """Check structural invariants; raises AssertionError on violation."""
-    assert len(g.bits) == g.n
+    """Check structural invariants; raises AssertionError on violation,
+    also under ``python -O``."""
+    if len(g.bits) != g.n:
+        raise AssertionError(f"{len(g.bits)} adjacency rows for n={g.n}")
     for v in range(g.n):
-        assert not (g.bits[v] >> v) & 1, f"self-loop at {v}"
-        assert g.bits[v] >> g.n == 0, f"adjacency bits beyond n at {v}"
+        if (g.bits[v] >> v) & 1:
+            raise AssertionError(f"self-loop at {v}")
+        if g.bits[v] >> g.n:
+            raise AssertionError(f"adjacency bits beyond n at {v}")
         for u in _iter_bits(g.bits[v]):
-            assert (g.bits[u] >> v) & 1, f"asymmetric edge {v},{u}"
-    edge_set = {(u, v) for u, v in g.edges}
-    rebuilt = from_edges(g.n, edge_set)
-    assert rebuilt.bits == g.bits, "edge list and adjacency disagree"
+            if not (g.bits[u] >> v) & 1:
+                raise AssertionError(f"asymmetric edge {v},{u}")
+    if from_edges(g.n, g.edges).bits != g.bits:
+        raise AssertionError("edge list and adjacency disagree")
+
+
+def is_connected(g: Graph) -> bool:
+    """True when every vertex is reachable from vertex 0 (and for n = 0)."""
+    if g.n == 0:
+        return True
+    seen = 1
+    frontier = 1
+    while frontier:
+        nxt = 0
+        for v in _iter_bits(frontier):
+            nxt |= g.bits[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -387,44 +406,15 @@ def random_regular(n: int, d: int, seed: int | None = None, retries: int = 1000)
         if not ok:
             continue
         g = Graph(n, tuple(bits))
-        if _connected(g):
+        if is_connected(g):
             return g
     raise GenerationError(
         f"random-regular(n={n}, d={d}) not connected/simple after {retries} retries"
     )
 
 
-def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _iter_bits(frontier):
-            nxt |= g.bits[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
-
-
 # ---------------------------------------------------------------------------
 # declarative graph classes and the CLI mini-syntax
-
-
-_TAGS = (
-    "Path",
-    "Cycle",
-    "Star",
-    "Complete",
-    "Petersen",
-    "HoffmanSingleton",
-    "CompleteBipartite",
-    "SquareLatticeTorus",
-    "HexLattice",
-    "RandomRegular",
-    "FromFile",
-)
 
 
 @dataclass(frozen=True)
@@ -437,46 +427,17 @@ class GraphClass:
     path: str | None = None
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        if self.tag not in _CLASSES:
             raise GenerationError(f"unknown graph class tag {self.tag!r}")
 
 
 def generate(spec: GraphClass) -> Graph:
     """Materialize a GraphClass; parameter validation errors raise GenerationError."""
-    tag, p = spec.tag, spec.params
-    arity = {
-        "Path": 1, "Cycle": 1, "Star": 1, "Complete": 1,
-        "Petersen": 0, "HoffmanSingleton": 0,
-        "CompleteBipartite": 2, "SquareLatticeTorus": 2, "HexLattice": 2,
-        "RandomRegular": 2, "FromFile": 0,
-    }[tag]
-    if len(p) != arity:
-        raise GenerationError(f"{tag} expects {arity} parameters, got {len(p)}")
-    if tag == "Path":
-        return path_graph(p[0])
-    if tag == "Cycle":
-        return cycle_graph(p[0])
-    if tag == "Star":
-        return star_graph(p[0])
-    if tag == "Complete":
-        return complete_graph(p[0])
-    if tag == "Petersen":
-        return petersen()
-    if tag == "HoffmanSingleton":
-        return hoffman_singleton()
-    if tag == "CompleteBipartite":
-        return complete_bipartite(p[0], p[1])
-    if tag == "SquareLatticeTorus":
-        return square_lattice_torus(p[0], p[1])
-    if tag == "HexLattice":
-        return hex_lattice(p[0], p[1])
-    if tag == "RandomRegular":
-        return random_regular(p[0], p[1], seed=spec.seed)
-    if tag == "FromFile":
-        if not spec.path:
-            raise GenerationError("FromFile requires a path")
-        return load_graph_file(spec.path)
-    raise AssertionError(tag)
+    _, arity, build = _CLASSES[spec.tag]
+    if len(spec.params) != arity:
+        raise GenerationError(
+            f"{spec.tag} expects {arity} parameters, got {len(spec.params)}")
+    return build(spec)
 
 
 def load_graph_file(path: str) -> Graph:
@@ -490,17 +451,26 @@ def load_graph_file(path: str) -> Graph:
         return parse_edge_list(text)
 
 
-_SPEC_NAMES = {
-    "petersen": "Petersen",
-    "hoffman-singleton": "HoffmanSingleton",
-    "path": "Path",
-    "cycle": "Cycle",
-    "star": "Star",
-    "complete": "Complete",
-    "complete-bipartite": "CompleteBipartite",
-    "torus": "SquareLatticeTorus",
-    "hex": "HexLattice",
-    "random-regular": "RandomRegular",
+def _from_file(spec: GraphClass) -> Graph:
+    if not spec.path:
+        raise GenerationError("FromFile requires a path")
+    return load_graph_file(spec.path)
+
+
+# tag -> (name in the CLI mini-syntax, number of parameters, builder)
+_CLASSES = {
+    "Path": ("path", 1, lambda s: path_graph(*s.params)),
+    "Cycle": ("cycle", 1, lambda s: cycle_graph(*s.params)),
+    "Star": ("star", 1, lambda s: star_graph(*s.params)),
+    "Complete": ("complete", 1, lambda s: complete_graph(*s.params)),
+    "Petersen": ("petersen", 0, lambda s: petersen()),
+    "HoffmanSingleton": ("hoffman-singleton", 0, lambda s: hoffman_singleton()),
+    "CompleteBipartite": ("complete-bipartite", 2, lambda s: complete_bipartite(*s.params)),
+    "SquareLatticeTorus": ("torus", 2, lambda s: square_lattice_torus(*s.params)),
+    "HexLattice": ("hex", 2, lambda s: hex_lattice(*s.params)),
+    "RandomRegular": ("random-regular", 2,
+                      lambda s: random_regular(*s.params, seed=s.seed)),
+    "FromFile": (None, 0, _from_file),
 }
 
 
@@ -522,9 +492,10 @@ def class_from_spec(text: str) -> GraphClass:
         if unknown or "n" not in kv or "d" not in kv:
             raise GenerationError(f"random-regular needs n=,d=[,seed=]; got {sorted(kv)}")
         return GraphClass("RandomRegular", (kv["n"], kv["d"]), seed=kv.get("seed"))
-    if name in _SPEC_NAMES:
-        params = tuple(int(x) for x in arg.split(",") if x.strip()) if arg else ()
-        return GraphClass(_SPEC_NAMES[name], params)
+    for tag, (spec_name, _, _) in _CLASSES.items():
+        if spec_name == name:
+            params = tuple(int(x) for x in arg.split(",") if x.strip()) if arg else ()
+            return GraphClass(tag, params)
     return GraphClass("FromFile", path=text)
 
 

@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, _iter_bits
+from .graphs import Graph, _iter_bits, is_connected
 
 INFINITE = math.inf
 
@@ -39,12 +39,6 @@ def bfs_distances(g: Graph, source: int) -> list[int | float]:
         for v in _iter_bits(frontier):
             dist[v] = d
     return dist
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return sum(1 for d in bfs_distances(g, 0) if d != INFINITE) == g.n
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -96,14 +90,16 @@ def power_graph(g: Graph, gamma: int) -> PowerGraph:
     return PowerGraph(g, gamma, Graph(g.n, tuple(bits)))
 
 
-def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, INFINITE for forests.
+def _girth_pass(g: Graph) -> tuple[int | float, tuple | None]:
+    """The girth, and the first girth-length BFS cross edge with its tree.
 
-    BFS from every root; a cross edge (u,w) seen at depths d(u), d(w)
-    witnesses a closed walk of length d(u)+d(w)+1 through the root, and the
-    minimum over all roots is exactly the girth.
+    BFS from every root; a cross edge (v,u) seen at depths d(v), d(u)
+    witnesses a closed walk of length d(v)+d(u)+1 through the root, and the
+    minimum over all roots is exactly the girth. The edge is returned as
+    (v, u, parent) for the root it was seen from, or None for forests.
     """
     best: int | float = INFINITE
+    hit = None
     for root in range(g.n):
         dist = [-1] * g.n
         parent = [-1] * g.n
@@ -121,50 +117,36 @@ def girth(g: Graph) -> int | float:
                 elif u != parent[v]:
                     cand = dist[v] + dist[u] + 1
                     if cand < best:
-                        best = cand
-    return best
+                        best, hit = cand, (v, u, parent)
+    return best, hit
+
+
+def girth(g: Graph) -> int | float:
+    """Length of a shortest cycle, INFINITE for forests."""
+    return _girth_pass(g)[0]
 
 
 def shortest_cycle(g: Graph) -> list[int] | None:
     """Vertices of one shortest cycle in order, or None for forests.
 
-    A BFS cross edge whose depth sum plus one equals the girth has paths
-    meeting only at the root, so stitching the two tree paths and the cross
-    edge yields a simple cycle of girth length. Deterministic: first hit in
-    ascending root and neighbor order.
+    At the girth the two tree paths of the cross edge meet only at the root
+    (a shared vertex would close a shorter cycle), so stitching them with
+    the edge yields a simple cycle. Deterministic: the first girth-length
+    hit in ascending root and neighbor order.
     """
-    target = girth(g)
-    if target == INFINITE:
+    _, hit = _girth_pass(g)
+    if hit is None:
         return None
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            if 2 * dist[v] >= target:
-                break
-            for u in _iter_bits(g.bits[v]):
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif u != parent[v] and dist[v] + dist[u] + 1 == target:
-                    left = []
-                    a = v
-                    while a != -1:
-                        left.append(a)
-                        a = parent[a]
-                    right = []
-                    b = u
-                    while b != -1:
-                        right.append(b)
-                        b = parent[b]
-                    if set(left) & set(right) != {root}:
-                        continue
-                    return left[::-1] + right[:-1]
-    return None
+    v, u, parent = hit
+
+    def to_root(a: int) -> list[int]:
+        path = []
+        while a != -1:
+            path.append(a)
+            a = parent[a]
+        return path
+
+    return to_root(v)[::-1] + to_root(u)[:-1]
 
 
 def diameter(g: Graph) -> int | float:
@@ -198,7 +180,8 @@ def max_power_degree(delta: int, gamma: int) -> int:
     if gamma < 2:
         raise ValueError(f"requires gamma >= 2, got {gamma}")
     num = delta * ((delta - 1) ** gamma - 1)
-    assert num % (delta - 2) == 0
+    if num % (delta - 2):
+        raise AssertionError(f"{delta - 2} does not divide {num}")
     return num // (delta - 2)
 
 

@@ -21,6 +21,7 @@ from distchroma import (
     enumerate_odd_degree_cases,
     evaluate_bounds,
     from_edges,
+    hex_lattice,
     hoffman_singleton,
     max_power_degree,
     parse_graph6,
@@ -30,9 +31,12 @@ from distchroma import (
     power_graph,
     power_matrix_inequalities,
     resolve_odd_degree_case,
+    save_color_strategy,
     spectral_power_bounds,
     spectral_radius,
+    square_lattice_torus,
     star_graph,
+    tutte_coxeter,
 )
 
 
@@ -176,6 +180,39 @@ def test_criterion_04_pair_deletion_colorable(sweep):
     edges_checked = sum(rec["m"] for rec in sweep)
     print(f"\n[criterion 4] PASS - chi(G^2 - {{u,v}}) <= M-1 across "
           f"{edges_checked} edges of {len(sweep)} graphs, 0 violations")
+
+
+# the M-1 bounds and the save-a-color strategy that realizes each of them
+SAVE_A_COLOR = (("non-regular", "non-regular"), ("short-girth", "short-girth"),
+                ("high-girth-connected", "high-girth"))
+
+
+def _first_claimed(applicable: dict) -> str:
+    return next((strategy for source, strategy in SAVE_A_COLOR
+                 if applicable[source]), "not-applicable")
+
+
+def test_save_color_realizes_the_first_claimed_bound(sweep):
+    """A bound report claims an M-1 bound exactly when save_color_strategy
+    runs the construction for the first such bound."""
+    for rec in sweep:
+        g = parse_graph6(rec["line"])
+        for gamma in (2, 3):
+            applicable = {src: app for src, _, _, app in rec["by_gamma"][gamma]["bounds"]}
+            outcome = save_color_strategy(g, gamma, exact_fallback=False)
+            assert outcome.applied == _first_claimed(applicable), (rec["line"], gamma)
+    named = {"petersen": petersen(), "hoffman-singleton": hoffman_singleton(),
+             "tutte-coxeter": tutte_coxeter(), "torus:5,7": square_lattice_torus(5, 7),
+             "hex:8,8": hex_lattice(8, 8)}
+    applied = set()
+    for label, g in named.items():
+        for gamma in (2, 3):
+            report = evaluate_bounds(g, gamma, exact_cap=0, with_spectral=False)
+            applicable = {e.source: e.applicable for e in report.bounds}
+            outcome = save_color_strategy(g, gamma, exact_fallback=False)
+            assert outcome.applied == _first_claimed(applicable), (label, gamma)
+            applied.add(outcome.applied)
+    assert applied == {"non-regular", "short-girth", "high-girth", "not-applicable"}
 
 
 def test_criterion_05_spectral_square_characterization(sweep):

@@ -137,11 +137,51 @@ def test_scan_resume(tmp_path, capsys):
     partial = tmp_path / "part.jsonl"
     partial.write_text("".join(full.read_text().splitlines(keepends=True)[:3]))
     main(["scan", "--input", str(corpus), "--output", str(partial), "--resume"])
-    full_records = [ln for ln in full.read_text().splitlines()
-                    if '"status"' in ln]
-    resumed_records = [ln for ln in partial.read_text().splitlines()
-                       if '"status"' in ln]
-    assert resumed_records == full_records
+    below_header = lambda p: p.read_text().splitlines()[1:]
+    assert below_header(partial) == below_header(full)
+    summaries = [ln for ln in partial.read_text().splitlines() if '"summary"' in ln]
+    assert len(summaries) == 1
+    assert json.loads(summaries[0])["summary"]["scanned"] == 4
+    # resuming a finished scan leaves it as it is
+    before = partial.read_bytes()
+    assert main(["scan", "--input", str(corpus), "--output", str(partial),
+                 "--resume"]) == EXIT_OK
+    assert partial.read_bytes() == before
+
+
+def test_scan_resume_rejects_another_config(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(encode_graph6(petersen()) + "\n" + encode_graph6(star_graph(5)) + "\n")
+    out = tmp_path / "s.jsonl"
+    main(["scan", "--input", str(corpus), "--output", str(out)])
+    partial = "".join(out.read_text().splitlines(keepends=True)[:2])
+    out.write_text(partial)
+    capsys.readouterr()
+    for flag, value in (("--gamma", "3"), ("--cap", "20")):
+        code = main(["scan", "--input", str(corpus), "--output", str(out),
+                     "--resume", flag, value])
+        assert code == EXIT_ERROR
+        assert "cannot resume" in capsys.readouterr().err
+        assert out.read_text() == partial
+
+
+def test_scan_output_bytes_pinned(tmp_path, capsys):
+    """Scan records hold no floats, so these digests (records and summary,
+    header excluded) are the same on every platform."""
+    import hashlib
+
+    from conftest import CORPUS_PATH
+
+    expected = {
+        2: "aa5bb0bc0eaf1f1ba273ef9ac304015cd30cfbaca411bb3205dccccb095bc2fb",
+        3: "cc636b1d34220feaf0bc182d4820accfba898dadb09ba2abe5141b7837fdd5c8",
+    }
+    for gamma, digest in expected.items():
+        out = tmp_path / f"scan{gamma}.jsonl"
+        assert main(["scan", "--input", str(CORPUS_PATH), "--gamma", str(gamma),
+                     "--jobs", "2", "--output", str(out)]) == EXIT_OK
+        body = out.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == digest, gamma
 
 
 def test_color_palette_mode(capsys):
@@ -195,6 +235,24 @@ def test_bounds_corpus_marks_low_degree_out_of_scope(tmp_path, capsys):
     assert rows[0].endswith("out-of-scope")
     assert rows[1].endswith("moore-equality")
     assert rows[2].endswith("out-of-scope")
+
+
+def test_bounds_corpus_error_is_not_out_of_scope(tmp_path, monkeypatch, capsys):
+    import distchroma.cli as cli
+
+    def boom(*args, **kwargs):
+        raise ValueError("synthetic failure on an in-scope graph")
+
+    monkeypatch.setattr(cli.bnd, "evaluate_bounds", boom)
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(encode_graph6(star_graph(5)) + "\n"
+                      + encode_graph6(petersen()) + "\n")
+    out = tmp_path / "b.jsonl"
+    code = main(["bounds", "--input", str(corpus), "--gamma", "2",
+                 "--format", "jsonl", "--output", str(out)])
+    assert code == EXIT_ERROR
+    assert "synthetic failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_soundness_violation_exit_code(monkeypatch, capsys):

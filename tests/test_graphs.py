@@ -230,6 +230,44 @@ def test_generate_dispatch():
         GraphClass("NoSuch")
 
 
+@pytest.mark.parametrize("text, tag, n", [
+    ("path:4", "Path", 4),
+    ("cycle:5", "Cycle", 5),
+    ("star:6", "Star", 6),
+    ("complete:4", "Complete", 4),
+    ("petersen", "Petersen", 10),
+    ("hoffman-singleton", "HoffmanSingleton", 50),
+    ("complete-bipartite:2,3", "CompleteBipartite", 5),
+    ("torus:3,4", "SquareLatticeTorus", 12),
+    ("hex:2,3", "HexLattice", 6),
+    ("random-regular:n=8,d=3,seed=1", "RandomRegular", 8),
+])
+def test_every_spec_name_builds_its_class(text, tag, n):
+    spec = class_from_spec(text)
+    assert spec.tag == tag
+    assert generate(spec).n == n
+    with pytest.raises(GenerationError):
+        generate(GraphClass(tag, spec.params + (3,)))
+
+
+def test_validate_raises_under_optimize():
+    """validate raises explicitly, so ``python -O`` keeps its checks."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import distchroma
+
+    src = str(Path(distchroma.__file__).resolve().parents[1])
+    code = ("from distchroma.graphs import Graph, validate\n"
+            "try:\n    validate(Graph(2, (0b11, 0)))\n"
+            "except AssertionError as err:\n    print(err)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "self-loop at 0"
+
+
 def test_spec_mini_syntax():
     assert graph_from_spec("petersen").n == 10
     assert graph_from_spec("cycle:7").n == 7
