@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 from . import coloring as col
 from . import metrics as met
@@ -380,15 +381,22 @@ def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> d
     return rec
 
 
-def map_lines(fn, lines: list[str], *args, jobs: int = 1) -> list:
-    """``fn(line, *args)`` for every line, in input order; over a pool of
-    ``jobs`` worker processes when jobs > 1."""
+def _apply(fn, args: tuple, line: str):
+    return fn(line, *args)
+
+
+def map_lines(fn, lines: list[str], *args, jobs: int = 1) -> Iterator:
+    """``fn(line, *args)`` for every line, yielded in input order as soon as
+    each result is ready; over a pool of ``jobs`` worker processes when
+    jobs > 1."""
     if jobs > 1 and len(lines) > 1:
         import multiprocessing as mp
 
         with mp.Pool(jobs) as pool:
-            return pool.starmap(fn, ((ln, *args) for ln in lines), chunksize=64)
-    return [fn(ln, *args) for ln in lines]
+            yield from pool.imap(partial(_apply, fn, args), lines, chunksize=64)
+    else:
+        for ln in lines:
+            yield fn(ln, *args)
 
 
 def fold_scan(records: Iterable[dict], gamma: int) -> ScanReport:

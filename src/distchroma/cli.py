@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (skipped items allowed unless --strict), 1 operational
-error, 2 soundness violation (an exact value beat a bound that applied).
+or usage error, 2 soundness violation (an exact value beat a bound that
+applied).
 Outputs are deterministic for a fixed config: sorted JSON keys, stable
 tie-breaking everywhere, timestamps only on stderr.
 """
@@ -9,6 +10,7 @@ tie-breaking everywhere, timestamps only on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -185,17 +187,18 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
 
     rows = bnd.map_lines(_eval_one, corpus, args.gamma, args.cap, jobs=args.jobs)
-
+    first = next(rows)  # an error on the first graph leaves no output file
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         if args.format == "csv":
             out.write(f"# distchroma {__version__} gamma={args.gamma}\n")
             out.write(",".join(CSV_COLUMNS) + "\n")
-            for row in rows:
-                out.write(_csv_line(row) + "\n")
         else:
             out.write(json.dumps({"header": _header(args)}, sort_keys=True) + "\n")
-            for row in rows:
+        for row in itertools.chain([first], rows):
+            if args.format == "csv":
+                out.write(_csv_line(row) + "\n")
+            else:
                 out.write(json.dumps(row["report"], sort_keys=True) + "\n")
     finally:
         if args.output:
@@ -229,11 +232,14 @@ def cmd_formulas(args) -> int:
 def _resumed_records(args) -> tuple[list[dict], bool] | None:
     """Records already in the output of an earlier run and whether that run
     finished (its last line is the summary); None when starting afresh.
-    Raises ValueError when the earlier run's header has another config."""
+    A torn last line, cut off by a crash, is cut off the file too. Raises
+    ValueError when the earlier run's header has another config."""
     if not (args.output and args.resume and os.path.exists(args.output)):
         return None
-    with open(args.output, "r", encoding="utf-8") as fh:
-        rows = [json.loads(ln) for ln in fh if ln.strip()]
+    with open(args.output, "rb") as fh:
+        data = fh.read()
+    whole = data[:data.rfind(b"\n") + 1]
+    rows = [json.loads(ln) for ln in whole.splitlines() if ln.strip()]
     if not rows:
         return None
     config = rows[0].get("header", {}).get("config", {})
@@ -241,6 +247,9 @@ def _resumed_records(args) -> tuple[list[dict], bool] | None:
     if changed:
         raise ValueError(f"cannot resume {args.output}: its header has another "
                          f"{', '.join(changed)}")
+    if len(whole) < len(data):
+        with open(args.output, "r+b") as fh:
+            fh.truncate(len(whole))
     return [r for r in rows[1:] if "status" in r], "summary" in rows[-1]
 
 
@@ -253,6 +262,7 @@ def cmd_scan(args) -> int:
 
     def write(obj: dict) -> None:
         out_fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        out_fh.flush()
 
     try:
         if not finished:
@@ -260,18 +270,15 @@ def cmd_scan(args) -> int:
                       if args.output else sys.stdout)
             if resumed is None:
                 write({"header": _header(args)})
-            new = bnd.map_lines(bnd.scan_one, lines[len(records):], args.gamma,
-                                args.cap, jobs=args.jobs)
-            for rec in new:
+            for rec in bnd.map_lines(bnd.scan_one, lines[len(records):], args.gamma,
+                                     args.cap, jobs=args.jobs):
                 write(rec)
-            records = records + new
+                records.append(rec)
         report = bnd.fold_scan(records, args.gamma)
         if out_fh:
             write({"summary": report.to_json_dict()})
     except KeyboardInterrupt:
-        if out_fh:
-            out_fh.flush()
-        print("interrupted; partial results flushed", file=sys.stderr)
+        print("interrupted; the records written so far are kept", file=sys.stderr)
         return 130
     finally:
         if out_fh and args.output:
@@ -284,70 +291,74 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own status, 2, is EXIT_SOUNDNESS."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distchroma",
         description="distance chromatic numbers, bounds, and corpus scans")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--input": dict(required=True,
+                        help="file path or graph spec like petersen, cycle:7, "
+                             "random-regular:n=20,d=3,seed=42"),
+        "--gamma": dict(type=int, default=2),
+        "--output": dict(default=None),
+        "--cap": dict(type=int, default=_default_cap()),
+        "--timeout": dict(type=float, default=None),
+        "--jobs": dict(type=int, default=1),
+    }
 
-    def common(p, gamma_default=2):
-        p.add_argument("--input", required=True,
-                       help="file path or graph spec like petersen, cycle:7, "
-                            "random-regular:n=20,d=3,seed=42")
-        p.add_argument("--gamma", type=int, default=gamma_default)
-        p.add_argument("--output", default=None)
-        p.add_argument("--cap", type=int, default=_default_cap())
-        p.add_argument("--timeout", type=float, default=None)
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("invariants", help="structural invariants as JSON")
-    common(p)
-    p.set_defaults(func=cmd_invariants)
+    command("invariants", cmd_invariants, "structural invariants as JSON",
+            "--input", "--output")
+    command("power", cmd_power, "gamma-th power of the graph",
+            "--input", "--gamma", "--output")
 
-    p = sub.add_parser("power", help="gamma-th power of the graph")
-    common(p)
-    p.set_defaults(func=cmd_power)
-
-    p = sub.add_parser("color", help="exact or constructive distance coloring")
-    common(p)
+    p = command("color", cmd_color, "exact or constructive distance coloring",
+                "--input", "--gamma", "--output", "--cap", "--timeout")
     p.add_argument("--exact", action="store_true",
                    help="run the exact solver (default: save-a-color strategy)")
     p.add_argument("--palette", type=int, default=None,
                    help="greedy-color the power graph with this many colors")
-    p.set_defaults(func=cmd_color)
 
-    p = sub.add_parser("spectral", help="spectral radius and matrix checks")
-    common(p)
+    p = command("spectral", cmd_spectral, "spectral radius and matrix checks",
+                "--input", "--gamma", "--output")
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.set_defaults(func=cmd_spectral)
 
-    p = sub.add_parser("bounds", help="evaluate every applicable bound")
-    common(p)
+    p = command("bounds", cmd_bounds, "evaluate every applicable bound",
+                "--input", "--gamma", "--output", "--cap", "--timeout", "--jobs")
     p.add_argument("--format", choices=("json", "jsonl", "csv"), default="json",
                    help="corpus inputs emit one report per line (jsonl) or a "
                         "csv projection")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("formulas", help="closed forms for paths and cycles")
+    p = command("formulas", cmd_formulas, "closed forms for paths and cycles",
+                "--gamma", "--output")
     p.add_argument("--path", type=int, default=None)
     p.add_argument("--cycle", type=int, default=None)
-    p.add_argument("--gamma", type=int, default=2)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_formulas)
 
-    p = sub.add_parser("scan", help="conjecture scan over a graph6 corpus")
+    p = command("scan", cmd_scan, "conjecture scan over a graph6 corpus",
+                "--gamma", "--cap", "--jobs")
     p.add_argument("--input", required=True, help="graph6 file, one per line")
-    p.add_argument("--gamma", type=int, default=2)
     p.add_argument("--output", default=None, help="JSON-lines report path")
-    p.add_argument("--cap", type=int, default=_default_cap())
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when any graph was skipped")
     p.add_argument("--resume", action="store_true",
                    help="continue the scan in --output: skip the graphs it "
                         "already has records for; a finished scan is left as is")
-    p.set_defaults(func=cmd_scan)
     return parser
 
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .graphs import Graph, _iter_bits
+from .graphs import Graph, _iter_bits, bfs_layers
 from .metrics import (
+    INFINITE,
     PowerGraph,
-    bfs_distances,
-    girth,
     is_connected,
     max_clique,
     max_power_degree,
@@ -354,16 +354,11 @@ def order_by_distance_from_edge(
         raise ValueError("u and v must lie in the subgraph")
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
-    dist = {u: 0, v: 0}
-    frontier = [u, v]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in _iter_bits(g.bits[a]):
-                if b in allowed and b not in dist:
-                    dist[b] = dist[a] + 1
-                    nxt.append(b)
-        frontier = nxt
+    dist = {}
+    inside = sum(1 << w for w in allowed)
+    for d, layer in enumerate(bfs_layers(g, 1 << u | 1 << v, inside)):
+        for w in _iter_bits(layer):
+            dist[w] = d
     if len(dist) != len(allowed):
         raise ValueError("subgraph is not connected")
     rest = sorted((w for w in allowed if w not in (u, v)), key=lambda w: (-dist[w], w))
@@ -438,6 +433,7 @@ class SaveColorHypotheses:
     max_degree: int
     min_degree: int
     girth: int | float
+    cycle: list[int] | None  # one shortest cycle, from the girth's BFS pass
     connectivity: int | None  # computed only inside the girth window
     required_connectivity: int
     non_regular: bool
@@ -451,12 +447,13 @@ def save_color_hypotheses(g: Graph, gamma: int) -> SaveColorHypotheses:
     (gamma = 2). Raises ValueError outside the scope of in_scope."""
     if not in_scope(g, gamma):
         raise ValueError("requires a connected graph with maximum degree >= 3")
-    delta, dmin, gir = g.max_degree(), g.min_degree(), girth(g)
+    delta, dmin, cycle = g.max_degree(), g.min_degree(), shortest_cycle(g)
+    gir = INFINITE if cycle is None else len(cycle)
     window = gir >= 2 * gamma + 2 and (gamma >= 3 or gir > 6)
     kappa = vertex_connectivity(g) if window else None
     need = 3 if gamma >= 3 else 4
     return SaveColorHypotheses(
-        delta, dmin, gir, kappa, need,
+        delta, dmin, gir, cycle, kappa, need,
         non_regular=dmin < delta,
         short_girth=gir <= 2 * gamma - 1,
         high_girth_connected=kappa is not None and kappa >= need,
@@ -539,14 +536,14 @@ def save_color_strategy(
 
     pg = power_graph(g, gamma)
     if applied == "high-girth":
-        result, seeds, attempts = _high_girth_strategy(g, pg, gamma, palette)
+        result, seeds, attempts = _high_girth_strategy(g, pg, hyp.cycle, palette)
     else:
         if applied == "non-regular":
             v = min(w for w in range(g.n) if g.degree(w) == hyp.min_degree)
             u = min(g.neighbors(v))
             seeds = {"u": u, "v": v, "precolored": {}}
         else:
-            cycle = _girth_cycle(g)
+            cycle = hyp.cycle
             pairs = [tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))
                      for i in range(len(cycle))]
             u, v = min(pairs)
@@ -573,17 +570,12 @@ def save_color_strategy(
     )
 
 
-def _girth_cycle(g: Graph) -> list[int]:
-    cycle = shortest_cycle(g)
-    if cycle is None:
-        raise AssertionError("a girth hypothesis holds on a graph without cycles")
-    return cycle
-
-
-def _high_girth_strategy(g: Graph, pg: PowerGraph, gamma: int, palette: int):
+def _high_girth_strategy(g: Graph, pg: PowerGraph, cycle: list[int], palette: int):
     """Seed search along a shortest cycle, first success in lexicographic
-    rotation/orientation order."""
-    cycle = _girth_cycle(g)
+    rotation/orientation order. Distances up to gamma are read off the
+    power graph: distance > gamma means distinct and not adjacent in it."""
+    gamma = pg.gamma
+    near = pg.graph.bits
     glen = len(cycle)
     all_vertices = set(range(g.n))
     attempts = 0
@@ -601,20 +593,17 @@ def _high_girth_strategy(g: Graph, pg: PowerGraph, gamma: int, palette: int):
                 x1, y1, y2 = at(gamma), at(-1), at(-2)
                 removed = {y1, y2}
                 cands = _off_cycle_paths(g, v1, set(cycle), gamma - 1)
-                dist_y2 = bfs_distances(g, y2)
-                cands = [x2 for x2 in cands if dist_y2[x2] > gamma]
+                cands = [x2 for x2 in cands if not near[y2] >> x2 & 1]
                 if not cands:
                     continue
                 x2 = min(cands)
                 precolored = {x1: 0, y1: 0, x2: 1, y2: 1}
             else:
                 x1, x2 = at(2), at(-1)
-                dx1 = bfs_distances(g, x1)
-                dx2 = bfs_distances(g, x2)
                 x3 = None
                 for w in sorted(set(g.neighbors(v1)) - set(cycle)):
                     for cand in sorted(set(g.neighbors(w)) - set(cycle) - {v1}):
-                        if dx1[cand] > 2 and dx2[cand] > 2:
+                        if not near[cand] & (1 << x1 | 1 << x2):
                             x3 = cand
                             break
                     if x3 is not None:
@@ -655,17 +644,5 @@ def _high_girth_strategy(g: Graph, pg: PowerGraph, gamma: int, palette: int):
 def _off_cycle_paths(g: Graph, v1: int, cycle: set[int], depth: int) -> list[int]:
     """Vertices reachable from v1 in exactly ``depth`` steps avoiding the
     cycle (except v1 itself)."""
-    banned = cycle - {v1}
-    level = {v1}
-    seen = {v1} | banned
-    for _ in range(depth):
-        nxt = set()
-        for a in level:
-            for b in _iter_bits(g.bits[a]):
-                if b not in seen:
-                    nxt.add(b)
-        seen |= nxt
-        level = nxt
-        if not level:
-            break
-    return sorted(level)
+    layers = bfs_layers(g, 1 << v1, ~sum(1 << w for w in cycle - {v1}))
+    return list(_iter_bits(next(islice(layers, depth, None), 0)))

@@ -61,10 +61,6 @@ class Graph:
                 out.append((v, v + 1 + off))
         return tuple(out)
 
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_iter_bits(m)) for m in self.bits)
-
     @property
     def m(self) -> int:
         return sum(b.bit_count() for b in self.bits) // 2
@@ -118,19 +114,25 @@ def validate(g: Graph) -> None:
         raise AssertionError("edge list and adjacency disagree")
 
 
-def is_connected(g: Graph) -> bool:
-    """True when every vertex is reachable from vertex 0 (and for n = 0)."""
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+def bfs_layers(g: Graph, start: int, within: int = -1) -> Iterator[int]:
+    """Breadth-first layers from the vertex set ``start``, walking only
+    through the vertex set ``within`` (every vertex by default); both are
+    bitmasks. Yields ``start`` as layer 0, then each nonempty frontier, so
+    a vertex's layer index is its distance from ``start``. Layers are
+    disjoint, so their sum is their union."""
+    seen = frontier = start
     while frontier:
+        yield frontier
         nxt = 0
         for v in _iter_bits(frontier):
             nxt |= g.bits[v]
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+
+
+def is_connected(g: Graph) -> bool:
+    """True when every vertex is reachable from vertex 0 (and for n = 0)."""
+    return g.n == 0 or sum(bfs_layers(g, 1)) == (1 << g.n) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ modeled as ``math.inf``, never as an integer sentinel.
 
 from __future__ import annotations
 
+import collections
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
-from .graphs import Graph, _iter_bits, is_connected
+from .graphs import Graph, _iter_bits, bfs_layers, is_connected
 
 INFINITE = math.inf
 
@@ -25,37 +26,23 @@ def bfs_distances(g: Graph, source: int) -> list[int | float]:
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
     dist: list[int | float] = [INFINITE] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = 1 << source
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in _iter_bits(frontier):
-            nxt |= g.bits[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-        for v in _iter_bits(frontier):
+    for d, layer in enumerate(bfs_layers(g, 1 << source)):
+        for v in _iter_bits(layer):
             dist[v] = d
     return dist
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
+    """True when no BFS layer of any component contains an edge (an edge
+    inside a layer closes an odd cycle, and every odd cycle leaves one)."""
+    seen = 0
     for s in range(g.n):
-        if color[s] >= 0:
+        if seen >> s & 1:
             continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in _iter_bits(g.bits[v]):
-                if color[u] < 0:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
+        for layer in bfs_layers(g, 1 << s):
+            seen |= layer
+            if any(g.bits[v] & layer for v in _iter_bits(layer)):
+                return False
     return True
 
 
@@ -73,20 +60,11 @@ class PowerGraph:
 
 
 def power_graph(g: Graph, gamma: int) -> PowerGraph:
-    """Graph whose edges join base vertices at distance in [1, gamma]."""
+    """Graph whose edges join base vertices at distance in [1, gamma]: the
+    row of v is the union of the BFS layers 1..gamma from v."""
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    bits = []
-    for v in range(g.n):
-        seen = 1 << v
-        frontier = 1 << v
-        for _ in range(gamma):
-            nxt = 0
-            for u in _iter_bits(frontier):
-                nxt |= g.bits[u]
-            frontier = nxt & ~seen
-            seen |= frontier
-        bits.append(seen & ~(1 << v))
+    bits = [sum(islice(bfs_layers(g, 1 << v), 1, gamma + 1)) for v in range(g.n)]
     return PowerGraph(g, gamma, Graph(g.n, tuple(bits)))
 
 
@@ -104,7 +82,7 @@ def _girth_pass(g: Graph) -> tuple[int | float, tuple | None]:
         dist = [-1] * g.n
         parent = [-1] * g.n
         dist[root] = 0
-        queue = deque([root])
+        queue = collections.deque([root])
         while queue:
             v = queue.popleft()
             if 2 * dist[v] >= best:
@@ -151,15 +129,12 @@ def shortest_cycle(g: Graph) -> list[int] | None:
 
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; INFINITE when disconnected."""
-    if g.n == 0:
-        return 0
-    best: int | float = 0
+    best = 0
     for v in range(g.n):
-        for d in bfs_distances(g, v):
-            if d > best:
-                best = d
-        if best == INFINITE:
-            break
+        layers = list(bfs_layers(g, 1 << v))
+        if sum(layers) != (1 << g.n) - 1:
+            return INFINITE
+        best = max(best, len(layers) - 1)
     return best
 
 
@@ -210,7 +185,7 @@ def _local_connectivity(g: Graph, s: int, t: int) -> int:
     while True:
         prev = [-1] * nn
         prev[src] = src
-        queue = deque([src])
+        queue = collections.deque([src])
         while queue and prev[sink] < 0:
             a = queue.popleft()
             for b, c in cap[a].items():

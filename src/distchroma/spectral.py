@@ -241,6 +241,8 @@ def spectral_power_bounds(
     gap = bound - lam_power
     if gamma == 2:
         square_gap = gap
+    elif gamma == 3:
+        square_gap = lam_base**2 - lam_prev  # G^(gamma-1) is G^2
     else:
         square_gap = lam_base**2 - spectral_radius(power_graph(g, 2).graph).lambda1
     profile = two_degree_profile(g)

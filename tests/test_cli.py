@@ -310,3 +310,73 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _scan_argv(tmp_path, corpus_lines) -> tuple[list[str], list[str]]:
+    lines = corpus_lines[:120]
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "s.jsonl"
+    return lines, ["scan", "--input", str(corpus), "--jobs", "1", "--output", str(out)]
+
+
+def test_scan_interrupted_then_resumed_equals_uninterrupted(
+        tmp_path, monkeypatch, capsys, corpus_lines):
+    import distchroma.bounds as bnd
+
+    lines, argv = _scan_argv(tmp_path, corpus_lines)
+    out = tmp_path / "s.jsonl"
+    assert main(argv) == EXIT_OK
+    full = out.read_bytes()
+    out.unlink()
+
+    real_scan_one = bnd.scan_one
+
+    def interrupted(line, *args):
+        if line == lines[49]:
+            raise KeyboardInterrupt
+        return real_scan_one(line, *args)
+
+    monkeypatch.setattr(bnd, "scan_one", interrupted)
+    assert main(argv) == 130
+    kept = out.read_bytes().splitlines()
+    assert len(kept) == 50 and '"header"' in kept[0].decode()
+    assert [json.loads(ln)["graph6"] for ln in kept[1:]] == lines[:49]
+    monkeypatch.setattr(bnd, "scan_one", real_scan_one)
+    assert main(argv + ["--resume"]) == EXIT_OK
+    assert out.read_bytes() == full
+
+
+def test_scan_resume_cuts_a_torn_record(tmp_path, capsys, corpus_lines):
+    _, argv = _scan_argv(tmp_path, corpus_lines)
+    out = tmp_path / "s.jsonl"
+    assert main(argv) == EXIT_OK
+    full = out.read_bytes()
+    ends = [i for i, b in enumerate(full) if b == ord("\n")]
+    out.write_bytes(full[:ends[30] + 10])  # ten bytes into the 31st record
+    assert main(argv + ["--resume"]) == EXIT_OK
+    assert out.read_bytes() == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--input", "petersen", "--format", "xml"],
+    ["scan", "--gamma", "2"],
+    ["invariants", "--input", "petersen", "--gamma", "3"],
+    ["invariants", "--input", "petersen", "--cap", "10"],
+    ["invariants", "--input", "petersen", "--timeout", "1"],
+    ["power", "--input", "petersen", "--cap", "10"],
+    ["power", "--input", "petersen", "--timeout", "1"],
+    ["spectral", "--input", "petersen", "--cap", "10"],
+    ["spectral", "--input", "petersen", "--timeout", "1"],
+])
+def test_usage_error_exits_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--help"])
+    assert exc.value.code == 0

@@ -315,3 +315,14 @@ def test_star_and_path_shapes(n):
     assert s.m == n - 1 and s.degree(0) == n - 1
     p = path_graph(n)
     assert p.m == n - 1 and p.degree(0) == 1
+
+
+def test_bfs_layers_from_a_set_inside_a_subset():
+    from distchroma.graphs import bfs_layers
+
+    g = path_graph(6)
+    assert list(bfs_layers(g, 0b1)) == [1 << d for d in range(6)]
+    assert list(bfs_layers(g, 0b1100)) == [0b1100, 0b10010, 0b100001]
+    # vertex 3 is outside the walk, so 4 and 5 are never reached
+    assert list(bfs_layers(g, 0b1, 0b110111)) == [0b1, 0b10, 0b100]
+    assert sum(bfs_layers(petersen(), 1)) == (1 << 10) - 1

@@ -292,3 +292,14 @@ def test_max_power_degree_is_geometric_sum(delta, gamma):
     assert max_power_degree(delta, gamma) == sum(
         delta * (delta - 1) ** (k - 1) for k in range(1, gamma + 1)
     )
+
+
+def test_save_color_hypotheses_carry_the_girth_pass_cycle(petersen_graph):
+    from distchroma import tutte_coxeter
+    from distchroma.coloring import save_color_hypotheses
+
+    for g in [petersen_graph, complete_graph(5), tutte_coxeter()]:
+        for gamma in (2, 3):
+            hyp = save_color_hypotheses(g, gamma)
+            assert hyp.cycle == shortest_cycle(g)
+            assert hyp.girth == girth(g) == len(hyp.cycle)

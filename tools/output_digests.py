@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of distchroma's deterministic outputs.
+
+Two checkouts that print the same lines write the same bytes for:
+
+- ``scan`` and ``bounds --format jsonl`` over the shipped corpus at
+  gamma = 2 and 3, header line excluded (it records the output path);
+- the ``color`` strategy JSON of petersen, hoffman-singleton,
+  tutte-coxeter (read from a graph6 file), torus:5,7 and hex:8,8 at
+  gamma = 2 and 3.
+
+``bounds`` reports carry floating-point lambda1 values whose last bits
+depend on the BLAS build, so compare digests taken on one machine; they
+are not pinned in the tests.
+
+Usage: python tools/output_digests.py [--jobs 2]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from distchroma import cli, encode_graph6, tutte_coxeter  # noqa: E402
+
+CORPUS = ROOT / "tests" / "data" / "connected_le8.g6"
+NAMED = ("petersen", "hoffman-singleton", "tutte-coxeter", "torus:5,7", "hex:8,8")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--jobs", type=int, default=2)
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tutte = Path(tmp, "tutte-coxeter.g6")
+        tutte.write_text(encode_graph6(tutte_coxeter()) + "\n")
+        for gamma in (2, 3):
+            for command, extra in (("scan", ()), ("bounds", ("--format", "jsonl"))):
+                out = Path(tmp, f"{command}{gamma}.jsonl")
+                code = cli.main([command, "--input", str(CORPUS), "--gamma", str(gamma),
+                                 "--jobs", str(args.jobs), "--output", str(out), *extra])
+                body = out.read_bytes().split(b"\n", 1)[1]
+                print(f"{command} gamma={gamma} exit={code} {_digest(body)}")
+        for name in NAMED:
+            spec = str(tutte) if name == "tutte-coxeter" else name
+            for gamma in (2, 3):
+                out = Path(tmp, "color.json")
+                code = cli.main(["color", "--input", spec, "--gamma", str(gamma),
+                                 "--output", str(out)])
+                strategy = json.loads(out.read_text())["strategy"]
+                text = json.dumps(strategy, sort_keys=True).encode()
+                print(f"color {name} gamma={gamma} exit={code} {_digest(text)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
