@@ -65,24 +65,21 @@ class MooreCertificate:
         }
 
 
-def _moore_certificate(g: Graph, gamma: int, delta: int, gir, diam) -> MooreCertificate:
-    m_value = max_power_degree(delta, gamma)
-    checks = MooreChecks(
-        is_regular=g.min_degree() == delta,
-        order_matches=g.n == m_value + 1,
-        girth_is_2gamma_plus_1=gir == 2 * gamma + 1,
-        diameter_is_gamma=diam == gamma,
-    )
-    return MooreCertificate(delta, gamma, m_value + 1, checks, all(astuple(checks)))
-
-
 def detect_moore(g: Graph, gamma: int) -> MooreCertificate:
     """Four-condition Moore check: Delta-regular, order M+1, girth 2*gamma+1,
     diameter gamma. No hardcoded graph list; works on arbitrary inputs."""
     if not col.in_scope(g, gamma):
         raise ValueError("Moore detection requires a connected graph with "
                          "maximum degree >= 3")
-    return _moore_certificate(g, gamma, g.max_degree(), met.girth(g), met.diameter(g))
+    delta = g.max_degree()
+    m_value = max_power_degree(delta, gamma)
+    checks = MooreChecks(
+        is_regular=g.min_degree() == delta,
+        order_matches=g.n == m_value + 1,
+        girth_is_2gamma_plus_1=met.girth(g) == 2 * gamma + 1,
+        diameter_is_gamma=met.diameter(g) == gamma,
+    )
+    return MooreCertificate(delta, gamma, m_value + 1, checks, all(astuple(checks)))
 
 
 @dataclass(frozen=True)
@@ -150,9 +147,7 @@ def evaluate_bounds(
     gamma: int,
     *,
     exact_cap: int = col.DEFAULT_EXACT_CAP,
-    node_budget: int | None = None,
     time_budget: float | None = None,
-    with_spectral: bool = True,
 ) -> BoundReport:
     """Evaluate every bound whose hypotheses hold, solve exactly when under
     the cap, classify the equality case, and self-check soundness.
@@ -162,7 +157,7 @@ def evaluate_bounds(
     hyp = col.save_color_hypotheses(g, gamma)
     delta, gir = hyp.max_degree, hyp.girth
     m_value = max_power_degree(delta, gamma)
-    moore = _moore_certificate(g, gamma, delta, gir, met.diameter(g))
+    moore = detect_moore(g, gamma)
 
     entries: list[BoundEntry] = []
 
@@ -187,12 +182,11 @@ def evaluate_bounds(
         applicable=(delta % 2 == 1 and delta >= threshold and not moore.is_moore),
         delta=delta, threshold=threshold)
 
-    if with_spectral:
-        lam = spec.spectral_radius(g).lambda1
-        add("spectral-series", spec.geometric_series_bound(lam, gamma) if lam > 1
-            else g.n, applicable=lam > 1, lambda1=lam)
-        add("spectral-power", lam**gamma + 1, strict=gamma >= 3, lambda1=lam,
-            applicable=g.n >= 3)
+    lam = spec.spectral_radius(g).lambda1
+    add("spectral-series", spec.geometric_series_bound(lam, gamma) if lam > 1
+        else g.n, applicable=lam > 1, lambda1=lam)
+    add("spectral-power", lam**gamma + 1, strict=gamma >= 3, lambda1=lam,
+        applicable=g.n >= 3)
 
     best = min(e.value_int for e in entries if e.applicable)
 
@@ -201,8 +195,7 @@ def evaluate_bounds(
     status = "exact"
     try:
         exact_chi, witness = col.distance_chromatic_number(
-            g, gamma, cap=exact_cap, node_budget=node_budget,
-            time_budget=time_budget)
+            g, gamma, cap=exact_cap, time_budget=time_budget)
     except col.SolverCapError:
         status = "cap-exceeded"
     except col.SolverBudgetError as err:
@@ -357,18 +350,15 @@ def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> d
     g = parse_graph6(line)
     if not col.in_scope(g, gamma):
         return {"status": "out-of-scope", "graph6": line}
-    delta = g.max_degree()
-    m_value = max_power_degree(delta, gamma)
-    gir = met.girth(g)
-    cert = _moore_certificate(g, gamma, delta, gir, met.diameter(g))
+    m_value = max_power_degree(g.max_degree(), gamma)
     pg = met.power_graph(g, gamma).graph
     complete_m = g.n == m_value and pg.m == g.n * (g.n - 1) // 2
     rec = {
         "status": "scanned",
         "graph6": line,
         "m_value": m_value,
-        "is_moore": cert.is_moore,
-        "girth_2gamma": gir == 2 * gamma,
+        "is_moore": detect_moore(g, gamma).is_moore,
+        "girth_2gamma": met.girth(g) == 2 * gamma,
         "power_complete_m": complete_m,
         "chi": None,
     }

@@ -22,7 +22,6 @@ from . import metrics as met
 from . import spectral as spec
 from .graphs import (
     GenerationError,
-    Graph,
     Graph6Error,
     encode_graph6,
     graph_from_spec,
@@ -57,12 +56,8 @@ def _emit(payload: dict, output: str | None) -> None:
         print(text)
 
 
-def _load_input(spec_text: str) -> Graph:
-    return graph_from_spec(spec_text)
-
-
 def cmd_invariants(args) -> int:
-    g = _load_input(args.input)
+    g = graph_from_spec(args.input)
     payload = _payload(args)
     payload["graph6"] = encode_graph6(g)
     payload["invariants"] = met.invariants(g).to_json_dict()
@@ -71,7 +66,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_power(args) -> int:
-    g = _load_input(args.input)
+    g = graph_from_spec(args.input)
     pg = met.power_graph(g, args.gamma)
     payload = _payload(args)
     payload["graph6"] = encode_graph6(g)
@@ -82,7 +77,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_color(args) -> int:
-    g = _load_input(args.input)
+    g = graph_from_spec(args.input)
     payload = _payload(args)
     payload["graph6"] = encode_graph6(g)
     if args.exact:
@@ -105,10 +100,10 @@ def cmd_color(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    g = _load_input(args.input)
+    g = graph_from_spec(args.input)
     payload = _payload(args)
     payload["graph6"] = encode_graph6(g)
-    payload["spectral"] = spec.spectral_radius(g, args.tolerance).to_json_dict()
+    payload["spectral"] = spec.spectral_radius(g).to_json_dict()
     if args.gamma >= 2:
         payload["matrix_inequalities"] = spec.power_matrix_inequalities(
             g, args.gamma).to_json_dict()
@@ -150,7 +145,7 @@ def _corpus_lines(path: str) -> list[str] | None:
     return lines
 
 
-def _eval_one(line: str, gamma: int, cap: int) -> dict:
+def _eval_one(line: str, gamma: int, cap: int, timeout: float | None) -> dict:
     g = parse_graph6(line)
     if not col.in_scope(g, gamma):
         return {
@@ -159,7 +154,7 @@ def _eval_one(line: str, gamma: int, cap: int) -> dict:
             "equality_class": "out-of-scope",
             "report": {"graph6": line, "status": "out-of-scope"},
         }
-    report = bnd.evaluate_bounds(g, gamma, exact_cap=cap)
+    report = bnd.evaluate_bounds(g, gamma, exact_cap=cap, time_budget=timeout)
     row = _bounds_row(report, g.n)
     row["report"] = report.to_json_dict()
     return row
@@ -168,7 +163,7 @@ def _eval_one(line: str, gamma: int, cap: int) -> dict:
 def cmd_bounds(args) -> int:
     corpus = _corpus_lines(args.input)
     if corpus is None:
-        g = _load_input(args.input)
+        g = graph_from_spec(args.input)
         report = bnd.evaluate_bounds(g, args.gamma, exact_cap=args.cap,
                                      time_budget=args.timeout)
         if args.format == "csv":
@@ -186,7 +181,8 @@ def cmd_bounds(args) -> int:
             _emit(payload, args.output)
         return EXIT_OK
 
-    rows = bnd.map_lines(_eval_one, corpus, args.gamma, args.cap, jobs=args.jobs)
+    rows = bnd.map_lines(_eval_one, corpus, args.gamma, args.cap, args.timeout,
+                         jobs=args.jobs)
     first = next(rows)  # an error on the first graph leaves no output file
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -335,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palette", type=int, default=None,
                    help="greedy-color the power graph with this many colors")
 
-    p = command("spectral", cmd_spectral, "spectral radius and matrix checks",
-                "--input", "--gamma", "--output")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    command("spectral", cmd_spectral, "spectral radius and matrix checks",
+            "--input", "--gamma", "--output")
 
     p = command("bounds", cmd_bounds, "evaluate every applicable bound",
                 "--input", "--gamma", "--output", "--cap", "--timeout", "--jobs")

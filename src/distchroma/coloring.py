@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph, _iter_bits, bfs_layers
 from .metrics import (
-    INFINITE,
     PowerGraph,
+    girth,
     is_connected,
     max_clique,
     max_power_degree,
@@ -433,7 +433,6 @@ class SaveColorHypotheses:
     max_degree: int
     min_degree: int
     girth: int | float
-    cycle: list[int] | None  # one shortest cycle, from the girth's BFS pass
     connectivity: int | None  # computed only inside the girth window
     required_connectivity: int
     non_regular: bool
@@ -447,13 +446,12 @@ def save_color_hypotheses(g: Graph, gamma: int) -> SaveColorHypotheses:
     (gamma = 2). Raises ValueError outside the scope of in_scope."""
     if not in_scope(g, gamma):
         raise ValueError("requires a connected graph with maximum degree >= 3")
-    delta, dmin, cycle = g.max_degree(), g.min_degree(), shortest_cycle(g)
-    gir = INFINITE if cycle is None else len(cycle)
+    delta, dmin, gir = g.max_degree(), g.min_degree(), girth(g)
     window = gir >= 2 * gamma + 2 and (gamma >= 3 or gir > 6)
     kappa = vertex_connectivity(g) if window else None
     need = 3 if gamma >= 3 else 4
     return SaveColorHypotheses(
-        delta, dmin, gir, cycle, kappa, need,
+        delta, dmin, gir, kappa, need,
         non_regular=dmin < delta,
         short_girth=gir <= 2 * gamma - 1,
         high_girth_connected=kappa is not None and kappa >= need,
@@ -536,14 +534,14 @@ def save_color_strategy(
 
     pg = power_graph(g, gamma)
     if applied == "high-girth":
-        result, seeds, attempts = _high_girth_strategy(g, pg, hyp.cycle, palette)
+        result, seeds, attempts = _high_girth_strategy(g, pg, palette)
     else:
         if applied == "non-regular":
             v = min(w for w in range(g.n) if g.degree(w) == hyp.min_degree)
             u = min(g.neighbors(v))
             seeds = {"u": u, "v": v, "precolored": {}}
         else:
-            cycle = hyp.cycle
+            cycle = shortest_cycle(g)
             pairs = [tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))
                      for i in range(len(cycle))]
             u, v = min(pairs)
@@ -570,11 +568,12 @@ def save_color_strategy(
     )
 
 
-def _high_girth_strategy(g: Graph, pg: PowerGraph, cycle: list[int], palette: int):
+def _high_girth_strategy(g: Graph, pg: PowerGraph, palette: int):
     """Seed search along a shortest cycle, first success in lexicographic
     rotation/orientation order. Distances up to gamma are read off the
     power graph: distance > gamma means distinct and not adjacent in it."""
     gamma = pg.gamma
+    cycle = shortest_cycle(g)
     near = pg.graph.bits
     glen = len(cycle)
     all_vertices = set(range(g.n))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -46,7 +46,9 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``bits[v]`` has bit ``u`` set iff ``uv`` is an edge. Instances are
-    immutable and safe to share across threads and worker processes.
+    immutable and safe to share across threads and worker processes. Facts
+    are memoized per instance (``per_graph``): a race computes one twice,
+    and both get the same value.
     """
 
     n: int
@@ -82,6 +84,23 @@ class Graph:
 
     def min_degree(self) -> int:
         return min((b.bit_count() for b in self.bits), default=0)
+
+
+def per_graph(fn):
+    """Memoize ``fn(g, *args, **kwargs)`` on ``g`` itself, once per graph and
+    argument list, freed with the graph; exceptions are not stored. Callers
+    must not mutate the result, and it must not point back to ``g``."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memo(g: Graph, *args, **kwargs):
+        facts = g.__dict__.setdefault("_facts", {})
+        key = (name, args, tuple(sorted(kwargs.items())))
+        if key not in facts:
+            facts[key] = fn(g, *args, **kwargs)
+        return facts[key]
+
+    return memo
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -130,6 +149,7 @@ def bfs_layers(g: Graph, start: int, within: int = -1) -> Iterator[int]:
         seen |= frontier
 
 
+@per_graph
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (and for n = 0)."""
     return g.n == 0 or sum(bfs_layers(g, 1)) == (1 << g.n) - 1

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .graphs import Graph, _iter_bits, bfs_layers, is_connected
+from .graphs import Graph, _iter_bits, bfs_layers, is_connected, per_graph
 
 INFINITE = math.inf
 
@@ -48,9 +48,9 @@ def is_bipartite(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class PowerGraph:
-    """The distance-<= gamma adjacency over the vertices of ``base``."""
+    """The distance-<= gamma adjacency over the vertices of a base graph.
+    Holds no reference to the base graph, so it can be memoized on it."""
 
-    base: Graph
     gamma: int
     graph: Graph
 
@@ -59,15 +59,17 @@ class PowerGraph:
         return self.graph.n
 
 
+@per_graph
 def power_graph(g: Graph, gamma: int) -> PowerGraph:
     """Graph whose edges join base vertices at distance in [1, gamma]: the
     row of v is the union of the BFS layers 1..gamma from v."""
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     bits = [sum(islice(bfs_layers(g, 1 << v), 1, gamma + 1)) for v in range(g.n)]
-    return PowerGraph(g, gamma, Graph(g.n, tuple(bits)))
+    return PowerGraph(gamma, Graph(g.n, tuple(bits)))
 
 
+@per_graph
 def _girth_pass(g: Graph) -> tuple[int | float, tuple | None]:
     """The girth, and the first girth-length BFS cross edge with its tree.
 
@@ -127,6 +129,7 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     return to_root(v)[::-1] + to_root(u)[:-1]
 
 
+@per_graph
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; INFINITE when disconnected."""
     best = 0
@@ -203,6 +206,7 @@ def _local_connectivity(g: Graph, s: int, t: int) -> int:
         flow += 1
 
 
+@per_graph
 def vertex_connectivity(g: Graph) -> int:
     """Minimum vertices whose removal disconnects g or leaves one vertex.
 

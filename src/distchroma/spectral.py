@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, per_graph
 from .metrics import girth, is_connected, power_graph, two_degree_profile
 
 MATRIX_CAP = 2048
@@ -20,11 +20,6 @@ MATRIX_CAP = 2048
 
 class SpectralConvergenceError(RuntimeError):
     """Power iteration hit its iteration cap before meeting tolerance."""
-
-
-def comparison_tol(n: int) -> float:
-    """Default slack for spectral equality checks: max(1e-8, 1e-12 * n)."""
-    return max(1e-8, 1e-12 * n)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -61,6 +56,7 @@ class SpectralResult:
         }
 
 
+@per_graph
 def spectral_radius(
     g: Graph, tolerance: float = 1e-10, max_iterations: int = 10**6
 ) -> SpectralResult:
@@ -216,15 +212,13 @@ class SpectralBoundReport:
         }
 
 
-def spectral_power_bounds(
-    g: Graph, gamma: int, tolerance: float | None = None
-) -> SpectralBoundReport:
+def spectral_power_bounds(g: Graph, gamma: int) -> SpectralBoundReport:
     """Compare lambda1 of powers against products of lambda1 of the base.
 
     For gamma 2 the bound lambda1(G^2) <= lambda1(G)^2 is met with equality
     exactly on 2-degree-regular graphs of girth >= 5; for gamma >= 3 the
     bound is strict, so the gap is reported and flagged (never failed) when
-    it falls inside tolerance.
+    it falls inside the tolerance max(1e-8, 1e-12 * n).
     """
     if gamma < 2:
         raise ValueError("gamma must be >= 2")
@@ -232,19 +226,15 @@ def spectral_power_bounds(
         raise ValueError("needs at least 3 vertices")
     if not is_connected(g):
         raise ValueError("requires a connected graph")
-    tol = comparison_tol(g.n) if tolerance is None else tolerance
-    lam_base = spectral_radius(g).lambda1
-    prev = g if gamma == 2 else power_graph(g, gamma - 1).graph
-    lam_prev = lam_base if gamma == 2 else spectral_radius(prev).lambda1
-    lam_power = spectral_radius(power_graph(g, gamma).graph).lambda1
+    tol = max(1e-8, 1e-12 * g.n)
+
+    def lam(k: int) -> float:  # lambda1(G^k)
+        return spectral_radius(g if k == 1 else power_graph(g, k).graph).lambda1
+
+    lam_base, lam_prev, lam_power = lam(1), lam(gamma - 1), lam(gamma)
     bound = lam_base**gamma
     gap = bound - lam_power
-    if gamma == 2:
-        square_gap = gap
-    elif gamma == 3:
-        square_gap = lam_base**2 - lam_prev  # G^(gamma-1) is G^2
-    else:
-        square_gap = lam_base**2 - spectral_radius(power_graph(g, 2).graph).lambda1
+    square_gap = lam_base**2 - lam(2)
     profile = two_degree_profile(g)
     predicate = len(set(profile)) <= 1 and girth(g) >= 5
     equality = abs(square_gap) <= tol

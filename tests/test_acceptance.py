@@ -207,7 +207,7 @@ def test_save_color_realizes_the_first_claimed_bound(sweep):
     applied = set()
     for label, g in named.items():
         for gamma in (2, 3):
-            report = evaluate_bounds(g, gamma, exact_cap=0, with_spectral=False)
+            report = evaluate_bounds(g, gamma, exact_cap=0)
             applicable = {e.source: e.applicable for e in report.bounds}
             outcome = save_color_strategy(g, gamma, exact_fallback=False)
             assert outcome.applied == _first_claimed(applicable), (label, gamma)

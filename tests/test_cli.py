@@ -218,6 +218,21 @@ def test_bounds_corpus_jsonl_and_csv(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_bounds_corpus_honours_timeout(tmp_path, capsys):
+    from distchroma import random_regular
+
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(encode_graph6(random_regular(40, 3, seed=1)) + "\n"
+                      + encode_graph6(petersen()) + "\n")
+    out = tmp_path / "b.jsonl"
+    code = main(["bounds", "--input", str(corpus), "--gamma", "3", "--timeout",
+                 "0.0001", "--format", "jsonl", "--output", str(out)])
+    assert code == EXIT_OK
+    reports = [json.loads(ln) for ln in out.read_text().splitlines()[1:]]
+    # petersen needs no search (clique = DSATUR), so it stays exact
+    assert [r["exact_status"] for r in reports] == ["budget-exceeded:time", "exact"]
+
+
 def test_bounds_corpus_marks_low_degree_out_of_scope(tmp_path, capsys):
     corpus = tmp_path / "c.g6"
     from distchroma import cycle_graph, path_graph
@@ -368,6 +383,7 @@ def test_scan_resume_cuts_a_torn_record(tmp_path, capsys, corpus_lines):
     ["power", "--input", "petersen", "--timeout", "1"],
     ["spectral", "--input", "petersen", "--cap", "10"],
     ["spectral", "--input", "petersen", "--timeout", "1"],
+    ["spectral", "--input", "petersen", "--tolerance", "1e-10"],
 ])
 def test_usage_error_exits_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -439,14 +439,14 @@ def test_high_girth_gamma2_mechanics_on_mcgee():
     (the smallest is far larger), so the gamma=2 seeding is exercised
     directly on the McGee graph: girth 7 gives the same seed geometry, and
     its pair-deleted subgraph happens to stay connected."""
-    from distchroma import lcf_graph, shortest_cycle
+    from distchroma import lcf_graph
     from distchroma.coloring import _high_girth_strategy
 
     g = lcf_graph(24, (12, 7, -7), 8)  # cubic, girth 7
     assert girth(g) == 7
     pg = power_graph(g, 2)
     palette = max_power_degree(3, 2) - 1
-    result, seeds, attempts = _high_girth_strategy(g, pg, shortest_cycle(g), palette)
+    result, seeds, attempts = _high_girth_strategy(g, pg, palette)
     assert isinstance(result, Coloring)
     assert result.proper_on(pg.graph)
     assert result.k <= palette

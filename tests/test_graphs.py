@@ -326,3 +326,68 @@ def test_bfs_layers_from_a_set_inside_a_subset():
     # vertex 3 is outside the walk, so 4 and 5 are never reached
     assert list(bfs_layers(g, 0b1, 0b110111)) == [0b1, 0b10, 0b100]
     assert sum(bfs_layers(petersen(), 1)) == (1 << 10) - 1
+
+
+# ---------------------------------------------------------------------------
+# facts memoized per graph
+
+
+def _bodies_run(work, names) -> dict[str, int]:
+    """How often the body of each named distchroma function ran in work()."""
+    import sys
+
+    runs = dict.fromkeys(names, 0)
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in runs and "distchroma" in code.co_filename:
+            runs[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return runs
+
+
+def test_each_fact_is_computed_once_per_graph():
+    from distchroma import (evaluate_bounds, power_matrix_inequalities,
+                            save_color_strategy, spectral_power_bounds)
+
+    g = square_lattice_torus(3, 4)  # girth 3: the strategy reads the cycle
+
+    def work():
+        for gamma in (2, 3):
+            evaluate_bounds(g, gamma)
+            assert save_color_strategy(g, gamma).applied == "short-girth"
+            power_matrix_inequalities(g, gamma)
+            spectral_power_bounds(g, gamma)
+
+    runs = _bodies_run(work, ("_girth_pass", "diameter", "power_graph",
+                              "spectral_radius", "is_connected"))
+    # one power graph per gamma; lambda1 and connectivity of G, G^2, G^3
+    assert runs == {"_girth_pass": 1, "diameter": 1, "power_graph": 2,
+                    "spectral_radius": 3, "is_connected": 3}
+
+
+def test_facts_are_freed_with_their_graph():
+    import gc
+    import weakref
+
+    from distchroma import (evaluate_bounds, power_graph, spectral_power_bounds,
+                            spectral_radius)
+
+    gc.disable()  # so only reference counts can free them
+    try:
+        g = square_lattice_torus(3, 4)
+        evaluate_bounds(g, 2)
+        spectral_power_bounds(g, 3)
+        assert power_graph(g, 2) is power_graph(g, 2)
+        lam = spectral_radius(g)
+        assert spectral_radius(g) is lam
+        refs = weakref.ref(g), weakref.ref(lam)
+        del g, lam
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

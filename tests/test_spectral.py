@@ -142,8 +142,10 @@ def test_radius_requires_connected():
 def test_radius_iteration_cap_is_reported():
     from distchroma import SpectralConvergenceError
 
-    with pytest.raises(SpectralConvergenceError):
-        spectral_radius(star_graph(6), tolerance=1e-15, max_iterations=2)
+    g = star_graph(6)
+    assert spectral_radius(g).lambda1 == pytest.approx(5 ** 0.5)
+    with pytest.raises(SpectralConvergenceError):  # not answered from the memo
+        spectral_radius(g, tolerance=1e-15, max_iterations=2)
 
 
 def test_single_vertex_radius():
