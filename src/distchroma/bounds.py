@@ -11,7 +11,7 @@ graph equal to the complete graph K_M.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -73,13 +73,13 @@ def detect_moore(g: Graph, gamma: int) -> MooreCertificate:
                          "maximum degree >= 3")
     delta = g.max_degree()
     m_value = max_power_degree(delta, gamma)
-    checks = MooreChecks(
-        is_regular=g.min_degree() == delta,
-        order_matches=g.n == m_value + 1,
-        girth_is_2gamma_plus_1=met.girth(g) == 2 * gamma + 1,
-        diameter_is_gamma=met.diameter(g) == gamma,
-    )
-    return MooreCertificate(delta, gamma, m_value + 1, checks, all(astuple(checks)))
+    regular = g.min_degree() == delta
+    order = g.n == m_value + 1
+    girth_ok = met.girth(g) == 2 * gamma + 1
+    diameter_ok = met.diameter(g) == gamma
+    checks = MooreChecks(regular, order, girth_ok, diameter_ok)
+    return MooreCertificate(delta, gamma, m_value + 1, checks,
+                            regular and order and girth_ok and diameter_ok)
 
 
 @dataclass(frozen=True)

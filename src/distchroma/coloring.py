@@ -2,7 +2,12 @@
 
 The exact solver iterates k upward from the clique number, proving each
 smaller palette infeasible with a DSATUR-ordered backtracking search, so a
-returned value is certified minimal. The constructive side implements the
+returned value is certified minimal. The search is a bitset kernel: the
+vertices are ranked once by degree, the uncolored vertices of each
+saturation level form one bitmask, and each color keeps the bitmask of
+vertices adjacent to it, so a search node costs O(k) integer operations
+with no scan over the vertices. The greedy DSATUR coloring that starts
+the search is the kernel's first descent. The constructive side implements the
 save-a-color machinery: palette-limited greedy completion driven by vertex
 orders of decreasing distance from a seed edge, with per-vertex excess
 bookkeeping.
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .graphs import Graph, _iter_bits, bfs_layers
+from .graphs import Graph, _iter_bits, bfs_layers, per_graph
 from .metrics import (
     PowerGraph,
     girth,
@@ -74,23 +79,32 @@ def normalize_coloring(assignment: Sequence[int]) -> Coloring:
 
 
 def dsatur_upper_bound(g: Graph) -> Coloring:
-    """Greedy DSATUR coloring; always succeeds, gives the search its start."""
-    n = g.n
-    colors = [-1] * n
-    sat = [0] * n
-    degs = g.degrees()
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (sat[u].bit_count(), degs[u], -u),
-        )
-        c = 0
-        while (sat[v] >> c) & 1:
-            c += 1
-        colors[v] = c
-        for u in _iter_bits(g.bits[v]):
-            sat[u] |= 1 << c
-    return normalize_coloring(colors)
+    """Greedy DSATUR coloring; always succeeds, gives the search its start.
+    It is the search's first descent with a palette of n colors, which never
+    backtracks: the least color free at the picked vertex is always below
+    its limit."""
+    return normalize_coloring(_solve_k(g, g.n, None, None))
+
+
+@per_graph
+def _ranked(g: Graph) -> tuple[list[int], Sequence[int]]:
+    """The vertices ranked by (degree descending, index ascending), and the
+    neighborhood of each rank as a bitmask of ranks."""
+    order = sorted(range(g.n), key=[-b.bit_count() for b in g.bits].__getitem__)
+    if order == list(range(g.n)):  # already ranked, as in every regular graph
+        return order, g.bits
+    rank_bit = [0] * g.n
+    for r, v in enumerate(order):
+        rank_bit[v] = 1 << r
+    nbr = []
+    for v in order:
+        b, mask = g.bits[v], 0
+        while b:
+            low = b & -b
+            mask |= rank_bit[low.bit_length() - 1]
+            b ^= low
+        nbr.append(mask)
+    return order, nbr
 
 
 def _solve_k(
@@ -101,60 +115,73 @@ def _solve_k(
 ) -> list[int] | None:
     """Find a proper k-coloring or prove none exists.
 
-    DSATUR vertex selection with first-occurrence color symmetry breaking:
-    at most one fresh color index may be opened per decision.
+    DSATUR vertex selection (most distinct neighbor colors, then highest
+    degree, then lowest index) with first-occurrence color symmetry
+    breaking: colors are tried in ascending order below min(k, used + 1),
+    so at most one fresh color index is opened per decision. Each color
+    tried is one node; the budget is checked at every node and the
+    deadline at every 1024th.
+
+    The search runs on bitsets over the ranked vertices of ``_ranked``, so
+    the tie-break is the lowest set bit. ``buckets[s]`` holds the uncolored
+    vertices that see s distinct colors, and ``adj[c]`` the vertices
+    adjacent to color c. Giving v the color c moves N(v) & ~adj[c] up one
+    bucket. An explicit stack of frames keeps each level's buckets, color
+    count and old adj[c], so a backtrack restores them without recomputing.
     """
     n = g.n
     if n == 0:
         return []
     if k <= 0:
         return None
-    colors = [-1] * n
-    cnt = [[0] * k for _ in range(n)]  # colored-neighbor count per color
-    sat = [0] * n  # bitmask of colors with cnt > 0
-    degs = g.degrees()
+    order, nbr = _ranked(g)
+    buckets = [(1 << n) - 1]  # by saturation, up to the highest nonempty one
+    adj = [0] * k
+    colors = [0] * n
+    used = 0
     nodes = 0
-
-    def pick() -> int:
-        best, key = -1, None
-        for u in range(n):
-            if colors[u] < 0:
-                cand = (sat[u].bit_count(), degs[u], -u)
-                if key is None or cand > key:
-                    best, key = u, cand
-        return best
-
-    def rec(colored: int, used: int) -> bool:
-        nonlocal nodes
-        if colored == n:
-            return True
-        v = pick()
-        limit = min(k, used + 1)
-        allowed = ~sat[v] & ((1 << limit) - 1)
-        while allowed:
-            low = allowed & -allowed
-            c = low.bit_length() - 1
-            allowed ^= low
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SolverBudgetError("nodes", f"over {node_budget} decisions")
-            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                raise SolverBudgetError("time", "wall-clock limit hit")
-            colors[v] = c
-            for u in _iter_bits(g.bits[v]):
-                if cnt[u][c] == 0:
-                    sat[u] |= 1 << c
-                cnt[u][c] += 1
-            if rec(colored + 1, max(used, c + 1)):
-                return True
-            for u in _iter_bits(g.bits[v]):
-                cnt[u][c] -= 1
-                if cnt[u][c] == 0:
-                    sat[u] &= ~(1 << c)
-            colors[v] = -1
-        return False
-
-    return list(colors) if rec(0, 0) else None
+    # one per colored rank: (v, colors left to try, used, buckets, color, old adj)
+    frames: list[tuple] = []
+    while len(frames) < n:
+        b = buckets[-1]
+        v = (b & -b).bit_length() - 1
+        if len(buckets) > used:  # v sees all `used` colors: only a new one is free
+            allowed = 1 << used if used < k else 0
+        else:
+            allowed = 0
+            for c in range(min(k, used + 1)):
+                if not adj[c] >> v & 1:
+                    allowed |= 1 << c
+        while not allowed:
+            if not frames:
+                return None
+            v, allowed, used, buckets, c, old = frames.pop()
+            adj[c] = old
+        low = allowed & -allowed
+        c = low.bit_length() - 1
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise SolverBudgetError("nodes", f"over {node_budget} decisions")
+        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+            raise SolverBudgetError("time", "wall-clock limit hit")
+        old = adj[c]
+        frames.append((v, allowed ^ low, used, buckets, c, old))
+        colors[v] = c
+        if c == used:
+            used += 1
+        adj[c] = old | nbr[v]
+        up = nbr[v] & ~old
+        keep = ~(up | 1 << v)
+        moved = [buckets[0] & keep]
+        moved += [hi & keep | lo & up for lo, hi in zip(buckets, buckets[1:])]
+        moved.append(buckets[-1] & up)
+        while not moved[-1] and len(moved) > 1:
+            moved.pop()
+        buckets = moved
+    out = [0] * n
+    for r, v in enumerate(order):
+        out[v] = colors[r]
+    return out
 
 
 def chromatic_number(

@@ -240,42 +240,40 @@ def max_clique(g: Graph, cap: int = 200) -> tuple[int, tuple[int, ...]]:
         raise CliqueCapError(f"clique search capped at n={cap}, got {g.n}")
     if g.n == 0:
         return 0, ()
-    best_size = 0
-    best: tuple[int, ...] = ()
+    best: list = [0, ()]  # size, clique
+    _expand(g.bits, [], (1 << g.n) - 1, best)
+    return best[0], tuple(sorted(best[1]))
 
-    def color_sort(P: int) -> list[tuple[int, int]]:
-        # greedy color classes; returns (vertex, class index) in class order
-        out = []
-        k = 0
-        rest = P
-        while rest:
-            k += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                out.append((v, k))
-                avail &= ~g.bits[v] & ~(1 << v)
-                rest &= ~(1 << v)
-        return out
 
-    def expand(R: list[int], P: int):
-        nonlocal best_size, best
-        order = color_sort(P)
-        for v, bound in reversed(order):
-            if len(R) + bound <= best_size:
-                return
-            R.append(v)
-            P2 = P & g.bits[v]
-            if P2:
-                expand(R, P2)
-            elif len(R) > best_size:
-                best_size = len(R)
-                best = tuple(R)
-            R.pop()
-            P &= ~(1 << v)
+def _color_sort(bits: tuple[int, ...], P: int) -> list[tuple[int, int]]:
+    """Greedy color classes of P; (vertex, class index) in class order."""
+    out = []
+    k = 0
+    rest = P
+    while rest:
+        k += 1
+        avail = rest
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            out.append((v, k))
+            avail &= ~bits[v] & ~(1 << v)
+            rest &= ~(1 << v)
+    return out
 
-    expand([], (1 << g.n) - 1)
-    return best_size, tuple(sorted(best))
+
+def _expand(bits: tuple[int, ...], R: list[int], P: int, best: list) -> None:
+    """Extend the clique R by candidates P, pruning by the color bound."""
+    for v, bound in reversed(_color_sort(bits, P)):
+        if len(R) + bound <= best[0]:
+            return
+        R.append(v)
+        P2 = P & bits[v]
+        if P2:
+            _expand(bits, R, P2, best)
+        elif len(R) > best[0]:
+            best[:] = len(R), tuple(R)
+        R.pop()
+        P &= ~(1 << v)
 
 
 def clique_number(g: Graph, cap: int = 200) -> int:

@@ -6,9 +6,11 @@ definitions, no shared machinery with the implementations under test.
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 
-from distchroma.graphs import Graph
+from distchroma.coloring import SolverBudgetError
+from distchroma.graphs import Graph, _iter_bits
 
 INF = float("inf")
 
@@ -149,3 +151,90 @@ def brute_chromatic_number(g: Graph) -> int:
 
 def is_proper(g: Graph, assignment) -> bool:
     return all(assignment[u] != assignment[v] for u, v in g.edges)
+
+
+# ---------------------------------------------------------------------------
+# the DSATUR search as it was before the bitset kernel: a per-node scan of
+# every uncolored vertex and per-vertex color counters. The kernel must walk
+# the same tree, so it must return the same colorings, use the same number
+# of nodes and exhaust a budget at the same node.
+
+
+def reference_dsatur(g: Graph) -> list[int]:
+    """Greedy DSATUR; the colors as assigned, not yet normalized."""
+    n = g.n
+    colors = [-1] * n
+    sat = [0] * n
+    degs = g.degrees()
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] < 0),
+            key=lambda u: (sat[u].bit_count(), degs[u], -u),
+        )
+        c = 0
+        while (sat[v] >> c) & 1:
+            c += 1
+        colors[v] = c
+        for u in _iter_bits(g.bits[v]):
+            sat[u] |= 1 << c
+    return colors
+
+
+def reference_solve_k(
+    g: Graph,
+    k: int,
+    node_budget: int | None,
+    deadline: float | None,
+) -> tuple[list[int] | None, int]:
+    """A proper k-coloring or None, and the number of nodes searched."""
+    n = g.n
+    if n == 0:
+        return [], 0
+    if k <= 0:
+        return None, 0
+    colors = [-1] * n
+    cnt = [[0] * k for _ in range(n)]  # colored-neighbor count per color
+    sat = [0] * n  # bitmask of colors with cnt > 0
+    degs = g.degrees()
+    nodes = 0
+
+    def pick() -> int:
+        best, key = -1, None
+        for u in range(n):
+            if colors[u] < 0:
+                cand = (sat[u].bit_count(), degs[u], -u)
+                if key is None or cand > key:
+                    best, key = u, cand
+        return best
+
+    def rec(colored: int, used: int) -> bool:
+        nonlocal nodes
+        if colored == n:
+            return True
+        v = pick()
+        limit = min(k, used + 1)
+        allowed = ~sat[v] & ((1 << limit) - 1)
+        while allowed:
+            low = allowed & -allowed
+            c = low.bit_length() - 1
+            allowed ^= low
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise SolverBudgetError("nodes", f"over {node_budget} decisions")
+            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+                raise SolverBudgetError("time", "wall-clock limit hit")
+            colors[v] = c
+            for u in _iter_bits(g.bits[v]):
+                if cnt[u][c] == 0:
+                    sat[u] |= 1 << c
+                cnt[u][c] += 1
+            if rec(colored + 1, max(used, c + 1)):
+                return True
+            for u in _iter_bits(g.bits[v]):
+                cnt[u][c] -= 1
+                if cnt[u][c] == 0:
+                    sat[u] &= ~(1 << c)
+            colors[v] = -1
+        return False
+
+    return (list(colors) if rec(0, 0) else None), nodes

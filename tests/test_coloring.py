@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from distchroma import (
     Coloring,
     CompletionFailure,
+    Graph,
     PartialColoring,
     SolverBudgetError,
     SolverCapError,
@@ -31,11 +34,14 @@ from distchroma import (
     path_graph,
     petersen,
     power_graph,
+    random_regular,
     save_color_strategy,
+    square_lattice_torus,
     star_graph,
     tutte_coxeter,
 )
-from distchroma import detect_moore, girth, is_connected
+from distchroma import clique_number, detect_moore, girth, is_connected
+from distchroma.coloring import _solve_k
 
 import oracles
 
@@ -122,6 +128,62 @@ def test_closed_forms_reject_bad_input():
         path_distance_chromatic(0, 2)
     with pytest.raises(ValueError):
         cycle_distance_chromatic(2, 2)
+
+
+# The search must walk the tree of oracles.reference_solve_k: the same
+# colorings, the same node count, and so the same budget exhaustion points.
+REFERENCE_SEARCHES = {
+    "torus:5,5 gamma=3": (square_lattice_torus(5, 5), 3),
+    "torus:6,7 gamma=3": (square_lattice_torus(6, 7), 3),
+    "tutte-coxeter gamma=2": (tutte_coxeter(), 2),
+    "random_regular(40,4,6) gamma=2": (random_regular(40, 4, seed=6), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SEARCHES))
+def test_search_walks_the_reference_tree(name):
+    g, gamma = REFERENCE_SEARCHES[name]
+    target = power_graph(g, gamma).graph
+    first = oracles.reference_dsatur(target)
+    assert dsatur_upper_bound(target) == normalize_coloring(first)
+    upper = normalize_coloring(first).k
+    ks = range(clique_number(target), upper)
+    assert ks, "the instance must need a search"
+    for k in ks:
+        expected, nodes = oracles.reference_solve_k(target, k, None, None)
+        assert _solve_k(target, k, None, None) == expected, k
+        for budget in (1, 7, 100, 1000, nodes - 1, nodes):
+            if budget < nodes:
+                with pytest.raises(SolverBudgetError):
+                    _solve_k(target, k, budget, None)
+            else:
+                assert _solve_k(target, k, budget, None) == expected, (k, budget)
+
+
+def test_dsatur_matches_the_reference_on_corpus_powers(corpus_lines):
+    for line in corpus_lines[::10]:
+        g = parse_graph6(line)
+        for gamma in (1, 2, 3):
+            target = power_graph(g, gamma).graph
+            expected = oracles.reference_dsatur(target)
+            assert _solve_k(target, target.n, None, None) == expected, (line, gamma)
+            assert dsatur_upper_bound(target) == normalize_coloring(expected)
+
+
+def test_search_frees_the_graph():
+    """No reference cycle keeps a searched graph alive: with the cyclic
+    collector off, it goes with its last reference."""
+    square = power_graph(square_lattice_torus(5, 7), 2).graph
+    target = Graph(square.n, square.bits)
+    alive = weakref.ref(target)
+    gc.disable()
+    try:
+        k, _ = chromatic_number(target)
+        assert k == 7 < dsatur_upper_bound(target).k  # so the search ran
+        del target
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_solver_minimality_against_oracle(corpus_lines):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from distchroma import (
     INFINITE,
     CliqueCapError,
+    Graph,
     bfs_distances,
     clique_number,
     complete_graph,
@@ -20,12 +23,14 @@ from distchroma import (
     girth,
     invariants,
     is_connected,
+    max_clique,
     max_power_degree,
     parse_graph6,
     path_graph,
     petersen,
     power_graph,
     shortest_cycle,
+    square_lattice_torus,
     star_graph,
     two_degree_profile,
     vertex_connectivity,
@@ -208,6 +213,21 @@ def test_clique_cap():
 @settings(max_examples=100, deadline=None)
 def test_clique_matches_oracle(g):
     assert clique_number(g) == oracles.brute_clique_number(g)
+
+
+def test_clique_search_frees_the_graph():
+    """No reference cycle keeps a searched graph alive: with the cyclic
+    collector off, it goes with its last reference."""
+    square = power_graph(square_lattice_torus(5, 7), 2).graph
+    target = Graph(square.n, square.bits)
+    alive = weakref.ref(target)
+    gc.disable()
+    try:
+        assert max_clique(target)[0] == 5
+        del target
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

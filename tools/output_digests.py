@@ -7,7 +7,11 @@ Two checkouts that print the same lines write the same bytes for:
   gamma = 2 and 3, header line excluded (it records the output path);
 - the ``color`` strategy JSON of petersen, hoffman-singleton,
   tutte-coxeter (read from a graph6 file), torus:5,7 and hex:8,8 at
-  gamma = 2 and 3.
+  gamma = 2 and 3;
+- the ``color --exact`` JSON, chi with its witness coloring, of torus:5,7,
+  torus:6,7 and tutte-coxeter at gamma = 2 and 3, header excluded. Each
+  of these solves searches below the DSATUR color count, so its witness
+  pins the exact search.
 
 ``bounds`` reports carry floating-point lambda1 values whose last bits
 depend on the BLAS build, so compare digests taken on one machine; they
@@ -32,6 +36,7 @@ from distchroma import cli, encode_graph6, tutte_coxeter  # noqa: E402
 
 CORPUS = ROOT / "tests" / "data" / "connected_le8.g6"
 NAMED = ("petersen", "hoffman-singleton", "tutte-coxeter", "torus:5,7", "hex:8,8")
+EXACT = ("torus:5,7", "torus:6,7", "tutte-coxeter")
 
 
 def _digest(data: bytes) -> str:
@@ -61,6 +66,16 @@ def main(argv: list[str] | None = None) -> int:
                 strategy = json.loads(out.read_text())["strategy"]
                 text = json.dumps(strategy, sort_keys=True).encode()
                 print(f"color {name} gamma={gamma} exit={code} {_digest(text)}")
+        for name in EXACT:
+            spec = str(tutte) if name == "tutte-coxeter" else name
+            for gamma in (2, 3):
+                out = Path(tmp, "exact.json")
+                code = cli.main(["color", "--exact", "--input", spec, "--gamma", str(gamma),
+                                 "--output", str(out)])
+                payload = json.loads(out.read_text())
+                del payload["header"]
+                text = json.dumps(payload, sort_keys=True).encode()
+                print(f"color --exact {name} gamma={gamma} exit={code} {_digest(text)}")
     return 0
 
 
