@@ -92,15 +92,16 @@ class BoundEntry:
     evidence: dict
 
     def to_json_dict(self) -> dict:
+        evidence = {k: (None if v == math.inf else v) for k, v in self.evidence.items()}
+        if "lambda1" in evidence:  # rounded like value: eigensolver noise stays out
+            evidence["lambda1"] = float(f"{evidence['lambda1']:.12g}")
         return {
             "source": self.source,
             "value": float(f"{self.value:.12g}"),
             "value_int": self.value_int,
             "strict": self.strict,
             "applicable": self.applicable,
-            "evidence": {
-                k: (None if v == math.inf else v) for k, v in self.evidence.items()
-            },
+            "evidence": evidence,
         }
 
 

@@ -6,7 +6,9 @@ definitions, no shared machinery with the implementations under test.
 
 from __future__ import annotations
 
+import math
 import time
+from fractions import Fraction
 from itertools import combinations
 
 from distchroma.coloring import SolverBudgetError
@@ -108,6 +110,20 @@ def brute_clique_number(g: Graph) -> int:
         else:
             break
     return best
+
+
+def collatz_wielandt(g: Graph, vector) -> tuple[Fraction, Fraction]:
+    """Exact min and max of (AX)_i / X_i, X the float vector scaled exactly
+    to positive integers. For a connected graph they enclose lambda1
+    (Collatz 1942; Wielandt 1950)."""
+    exact = [Fraction(x) for x in vector]
+    scale = math.lcm(*(f.denominator for f in exact))
+    xs = [int(f * scale) for f in exact]
+    if min(xs) <= 0:
+        raise ValueError("the vector must be positive")
+    quotients = [Fraction(sum(xs[u] for u in a_neighbors(g, v)), xs[v])
+                 for v in range(g.n)]
+    return min(quotients), max(quotients)
 
 
 def brute_chromatic_number(g: Graph) -> int:

@@ -143,6 +143,16 @@ def test_bound_report_json_roundtrip(petersen_graph):
     assert back["moore"]["is_moore"] is True
 
 
+def test_bound_report_rounds_lambda1_evidence():
+    from distchroma import spectral_radius
+
+    g = star_graph(7)  # lambda1 = sqrt(6), irrational
+    lam = spectral_radius(g).lambda1
+    printed = [entry.to_json_dict()["evidence"]["lambda1"]
+               for entry in evaluate_bounds(g, 2).bounds if "lambda1" in entry.evidence]
+    assert printed == [float(f"{lam:.12g}")] * 2 and lam not in printed
+
+
 # ---------------------------------------------------------------------------
 # clique exclusion
 

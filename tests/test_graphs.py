@@ -365,10 +365,10 @@ def test_each_fact_is_computed_once_per_graph():
             spectral_power_bounds(g, gamma)
 
     runs = _bodies_run(work, ("_girth_pass", "diameter", "power_graph",
-                              "spectral_radius", "is_connected"))
-    # one power graph per gamma; lambda1 and connectivity of G, G^2, G^3
+                              "spectral_radius", "is_connected", "adjacency_matrix"))
+    # one power graph per gamma; lambda1, connectivity and A of G, G^2, G^3
     assert runs == {"_girth_pass": 1, "diameter": 1, "power_graph": 2,
-                    "spectral_radius": 3, "is_connected": 3}
+                    "spectral_radius": 3, "is_connected": 3, "adjacency_matrix": 3}
 
 
 def test_facts_are_freed_with_their_graph():

@@ -28,9 +28,11 @@ from distchroma import (
     power_matrix_inequalities,
     spectral_power_bounds,
     spectral_radius,
+    square_lattice_torus,
     star_graph,
     two_degree_profile,
 )
+from distchroma.spectral import LAPACK_START_MAX_N
 
 import oracles
 
@@ -60,6 +62,14 @@ def test_adjacency_square_diagonal_is_degree(corpus_lines):
         g = parse_graph6(line)
         a = adjacency_matrix(g)
         assert (np.diag(a @ a) == np.array(g.degrees())).all()
+
+
+def test_adjacency_matrix_is_built_once_and_read_only(petersen_graph):
+    a = adjacency_matrix(petersen_graph)
+    assert adjacency_matrix(petersen_graph) is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 1] = 0
 
 
 def test_laplacian_k2():
@@ -139,11 +149,31 @@ def test_radius_requires_connected():
         spectral_radius(from_edges(3, [(0, 1)]))
 
 
+def test_perron_vector_encloses_lambda1(corpus_lines):
+    """The reported Perron vector brackets lambda1 in exact rationals
+    (Collatz-Wielandt) on corpus graphs, their squares and cubes, and on
+    both sides of the LAPACK start cut."""
+    graphs = [path_graph(n) for n in (25, 26)] + [star_graph(n) for n in (25, 26)]
+    graphs += [hex_lattice(5, 5), hex_lattice(2, 13), square_lattice_torus(5, 5)]
+    for line in corpus_lines[1::5]:
+        g = parse_graph6(line)
+        graphs += [g, power_graph(g, 2).graph, power_graph(g, 3).graph]
+    for g in graphs:
+        res = spectral_radius(g)
+        lo, hi = oracles.collatz_wielandt(g, res.perron_vector)
+        assert float(lo) - 1e-12 <= res.lambda1 <= float(hi) + 1e-12
+        if g.n <= LAPACK_START_MAX_N:
+            assert res.iterations == 1
+            assert hi - lo <= 1e-12
+        else:  # the iteration stops at residual 1e-10, and so does the bracket
+            assert hi - lo <= 2 * res.residual / min(res.perron_vector) + 1e-12
+
+
 def test_radius_iteration_cap_is_reported():
     from distchroma import SpectralConvergenceError
 
-    g = star_graph(6)
-    assert spectral_radius(g).lambda1 == pytest.approx(5 ** 0.5)
+    g = star_graph(30)  # above the LAPACK start cut: the iteration runs
+    assert spectral_radius(g).lambda1 == pytest.approx(29 ** 0.5)
     with pytest.raises(SpectralConvergenceError):  # not answered from the memo
         spectral_radius(g, tolerance=1e-15, max_iterations=2)
 
@@ -202,6 +232,12 @@ def test_matrix_inequalities_complete_graphs_defy_girth_at_gamma3():
         assert rep.bound_holds and rep.equality
         assert not rep.girth_predicate
         assert not rep.equality_matches_girth
+
+
+def test_series_bound_survives_walk_count_overflow():
+    # (A^16)[0, 1] of K_20 is (19^16 - 1) / 20, about 1.4e19, beyond int64
+    rep = power_matrix_inequalities(complete_graph(20), 16)
+    assert rep.series_dominates and rep.bound_holds and rep.equality
 
 
 def test_matrix_inequalities_rejects_bad_input():

@@ -13,9 +13,10 @@ Two checkouts that print the same lines write the same bytes for:
   of these solves searches below the DSATUR color count, so its witness
   pins the exact search.
 
-``bounds`` reports carry floating-point lambda1 values whose last bits
-depend on the BLAS build, so compare digests taken on one machine; they
-are not pinned in the tests.
+``bounds`` reports print lambda1 and every bound value rounded to 12
+significant digits, so eigensolver last-bit noise does not reach them;
+still, lambda1 comes from the machine's LAPACK, so compare digests taken
+on one machine. They are not pinned in the tests.
 
 Usage: python tools/output_digests.py [--jobs 2]
 """
