@@ -29,9 +29,8 @@ def main():
         ("petersen (gamma=3)", petersen(), 3),
     ]:
         cert = detect_moore(g, gamma)
-        c = cert.checks
-        print(f"  {name:<22} regular={c.is_regular} order={c.order_matches} "
-              f"girth={c.girth_is_2gamma_plus_1} diam={c.diameter_is_gamma} "
+        print(f"  {name:<22} regular={cert.is_regular} order={cert.order_matches} "
+              f"girth={cert.girth_is_2gamma_plus_1} diam={cert.diameter_is_gamma} "
               f"=> moore={cert.is_moore}")
 
     print()

@@ -62,8 +62,8 @@ def main():
     print(f"  scanned {report.scanned} (of {len(lines)} lines; "
           f"{report.out_of_scope} below degree 3)")
     print(f"  girth-4 family size: {report.girth_2gamma_count}")
-    print(f"  chi = M candidates: {len(report.chi_equals_m)}")
-    print(f"  complete-power candidates: {len(report.power_complete_m)}")
+    print(f"  chi = M candidates: {len(report.chi_equals_m_candidates)}")
+    print(f"  complete-power candidates: {len(report.power_complete_m_candidates)}")
     print(f"  skipped: {report.skipped}")
 
 

@@ -11,7 +11,7 @@ graph equal to the complete graph K_M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -22,6 +22,7 @@ from .graphs import Graph, encode_graph6, parse_graph6
 from .metrics import max_power_degree
 
 INT_GUARD = 1e-9  # slack when flooring real-valued bounds to integers
+LARGE_DEGREE = 10**14  # power-graph degree from which the large-degree clique bound holds
 
 
 class SoundnessViolation(AssertionError):
@@ -37,32 +38,15 @@ class SoundnessViolation(AssertionError):
 
 
 @dataclass(frozen=True)
-class MooreChecks:
-    is_regular: bool
-    order_matches: bool
-    girth_is_2gamma_plus_1: bool
-    diameter_is_gamma: bool
-
-
-@dataclass(frozen=True)
 class MooreCertificate:
     delta: int
     gamma: int
     order_expected: int  # M + 1
-    checks: MooreChecks
+    is_regular: bool
+    order_matches: bool
+    girth_is_2gamma_plus_1: bool
+    diameter_is_gamma: bool
     is_moore: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "order_expected": self.order_expected,
-            "is_regular": self.checks.is_regular,
-            "order_matches": self.checks.order_matches,
-            "girth_is_2gamma_plus_1": self.checks.girth_is_2gamma_plus_1,
-            "diameter_is_gamma": self.checks.diameter_is_gamma,
-            "is_moore": self.is_moore,
-        }
 
 
 def detect_moore(g: Graph, gamma: int) -> MooreCertificate:
@@ -77,9 +61,8 @@ def detect_moore(g: Graph, gamma: int) -> MooreCertificate:
     order = g.n == m_value + 1
     girth_ok = met.girth(g) == 2 * gamma + 1
     diameter_ok = met.diameter(g) == gamma
-    checks = MooreChecks(regular, order, girth_ok, diameter_ok)
-    return MooreCertificate(delta, gamma, m_value + 1, checks,
-                            regular and order and girth_ok and diameter_ok)
+    return MooreCertificate(delta, gamma, m_value + 1, regular, order, girth_ok,
+                            diameter_ok, regular and order and girth_ok and diameter_ok)
 
 
 @dataclass(frozen=True)
@@ -90,19 +73,6 @@ class BoundEntry:
     strict: bool          # True: chi < value; False: chi <= value
     applicable: bool
     evidence: dict
-
-    def to_json_dict(self) -> dict:
-        evidence = {k: (None if v == math.inf else v) for k, v in self.evidence.items()}
-        if "lambda1" in evidence:  # rounded like value: eigensolver noise stays out
-            evidence["lambda1"] = float(f"{evidence['lambda1']:.12g}")
-        return {
-            "source": self.source,
-            "value": float(f"{self.value:.12g}"),
-            "value_int": self.value_int,
-            "strict": self.strict,
-            "applicable": self.applicable,
-            "evidence": evidence,
-        }
 
 
 @dataclass(frozen=True)
@@ -118,21 +88,6 @@ class BoundReport:
     witness: col.Coloring | None
     moore: MooreCertificate
     equality_class: str   # "moore-equality" | "strict-below" | "unknown"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "m_value": self.m_value,
-            "bounds": [b.to_json_dict() for b in self.bounds],
-            "best_bound": self.best_bound,
-            "exact_chi": self.exact_chi,
-            "exact_status": self.exact_status,
-            "witness": self.witness.to_json_dict() if self.witness else None,
-            "moore": self.moore.to_json_dict(),
-            "equality_class": self.equality_class,
-        }
 
 
 def _int_form(value: float, strict: bool) -> int:
@@ -254,17 +209,10 @@ class CliqueExclusionReport:
     power_is_complete_m: bool
     status: str                    # "checked" | "cap-exceeded"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "gamma": self.gamma,
-            "m_value": self.m_value,
-            "power_order": self.power_order,
-            "clique_number": self.clique_number,
-            "properly_contains_m_clique": self.properly_contains_m_clique,
-            "power_is_complete_m": self.power_is_complete_m,
-            "status": self.status,
-        }
+
+def power_is_complete_m(pg: Graph, m_value: int) -> bool:
+    """Whether the power graph pg is the complete graph K_M."""
+    return pg.n == m_value and pg.m == m_value * (m_value - 1) // 2
 
 
 def check_clique_exclusion(
@@ -278,7 +226,7 @@ def check_clique_exclusion(
         raise ValueError("clique exclusion applies to non-Moore graphs only")
     m_value = max_power_degree(g.max_degree(), gamma)
     pg = met.power_graph(g, gamma).graph
-    complete_m = g.n == m_value and pg.m == g.n * (g.n - 1) // 2
+    complete_m = power_is_complete_m(pg, m_value)
     try:
         omega = met.clique_number(pg, cap=clique_cap)
     except met.CliqueCapError:
@@ -301,16 +249,7 @@ class ScanCandidate:
     graph6: str
     chi: int | None
     m_value: int
-    invariants: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "graph6": self.graph6,
-            "chi": self.chi,
-            "m_value": self.m_value,
-            "invariants": self.invariants,
-        }
+    invariants: met.InvariantReport
 
 
 @dataclass
@@ -321,28 +260,8 @@ class ScanReport:
     out_of_scope: int = 0
     skipped: int = 0
     girth_2gamma_count: int = 0
-    chi_equals_m: list[ScanCandidate] | None = None
-    power_complete_m: list[ScanCandidate] | None = None
-
-    def __post_init__(self):
-        if self.chi_equals_m is None:
-            self.chi_equals_m = []
-        if self.power_complete_m is None:
-            self.power_complete_m = []
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "scanned": self.scanned,
-            "moore_count": self.moore_count,
-            "out_of_scope": self.out_of_scope,
-            "skipped": self.skipped,
-            "girth_2gamma_count": self.girth_2gamma_count,
-            "chi_equals_m_candidates": [c.to_json_dict() for c in self.chi_equals_m],
-            "power_complete_m_candidates": [
-                c.to_json_dict() for c in self.power_complete_m
-            ],
-        }
+    chi_equals_m_candidates: list[ScanCandidate] = field(default_factory=list)
+    power_complete_m_candidates: list[ScanCandidate] = field(default_factory=list)
 
 
 def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> dict:
@@ -353,14 +272,13 @@ def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> d
         return {"status": "out-of-scope", "graph6": line}
     m_value = max_power_degree(g.max_degree(), gamma)
     pg = met.power_graph(g, gamma).graph
-    complete_m = g.n == m_value and pg.m == g.n * (g.n - 1) // 2
     rec = {
         "status": "scanned",
         "graph6": line,
         "m_value": m_value,
         "is_moore": detect_moore(g, gamma).is_moore,
         "girth_2gamma": met.girth(g) == 2 * gamma,
-        "power_complete_m": complete_m,
+        "power_complete_m": power_is_complete_m(pg, m_value),
         "chi": None,
     }
     try:
@@ -405,14 +323,14 @@ def fold_scan(records: Iterable[dict], gamma: int) -> ScanReport:
         report.girth_2gamma_count += rec["girth_2gamma"]
         chi = rec["chi"]
         if not rec["is_moore"] and chi is not None and chi >= rec["m_value"]:
-            report.chi_equals_m.append(_candidate("chi-equals-m", rec))
+            report.chi_equals_m_candidates.append(_candidate("chi-equals-m", rec))
         if rec["power_complete_m"]:
-            report.power_complete_m.append(_candidate("power-complete-m", rec))
+            report.power_complete_m_candidates.append(_candidate("power-complete-m", rec))
     return report
 
 
 def _candidate(kind: str, rec: dict) -> ScanCandidate:
-    invariants = met.invariants(parse_graph6(rec["graph6"])).to_json_dict()
+    invariants = met.invariants(parse_graph6(rec["graph6"]))
     return ScanCandidate(kind, rec["graph6"], rec["chi"], rec["m_value"], invariants)
 
 
@@ -440,11 +358,11 @@ def conjecture_scan(
 
 
 def odd_degree_threshold(gamma: int) -> int:
-    """Smallest Delta with (Delta - 1)^gamma >= 10^14 + 1, in exact integer
+    """Smallest Delta with (Delta - 1)^gamma > LARGE_DEGREE, in exact integer
     arithmetic. Above it (Delta odd, non-Moore) the M-1 bound kicks in."""
     if gamma < 2:
         raise ValueError("gamma must be >= 2")
-    target = 10**14 + 1
+    target = LARGE_DEGREE + 1
     x = max(2, int(round(target ** (1.0 / gamma))))
     while x**gamma >= target:
         x -= 1
@@ -481,7 +399,7 @@ def resolve_odd_degree_case(
     threshold). Pure arithmetic on (delta, gamma); no graph is built."""
     if delta % 2 == 0:
         raise ValueError("case analysis assumes odd maximum degree")
-    if (delta - 1) ** gamma < 10**14 + 1:
+    if delta < odd_degree_threshold(gamma):
         raise ValueError("delta below the large-degree threshold")
     if (power_delta_offset, chi_offset) not in enumerate_odd_degree_cases():
         raise ValueError("not a feasible case: chi <= Delta(G^gamma) + 1")
@@ -504,7 +422,7 @@ def resolve_odd_degree_case(
         # large-degree clique bound forces a clique of size M; the order
         # exceeds M (else the power is K_M with max degree M-1), so the
         # power properly contains K_M, impossible for non-Moore graphs.
-        if m_value < 10**14:
+        if m_value < LARGE_DEGREE:
             raise AssertionError(f"M = {m_value} below 10^14 past the threshold")
         return OddCaseOutcome(
             power_delta_offset, chi_offset, "clique-exclusion",

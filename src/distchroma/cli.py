@@ -4,7 +4,8 @@ Exit codes: 0 success (skipped items allowed unless --strict), 1 operational
 or usage error, 2 soundness violation (an exact value beat a bound that
 applied).
 Outputs are deterministic for a fixed config: sorted JSON keys, stable
-tie-breaking everywhere, timestamps only on stderr.
+tie-breaking everywhere, timestamps only on stderr. Every report is written
+by one encoder, json_value, as strict JSON.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -33,9 +35,28 @@ EXIT_ERROR = 1
 EXIT_SOUNDNESS = 2
 
 
-def _default_cap() -> int:
-    env = os.environ.get("DISTCHROMA_CAP_N")
-    return int(env) if env else col.DEFAULT_EXACT_CAP
+def json_value(value):
+    """A report as JSON values: a dataclass as its fields, floats at 12
+    significant digits (eigensolver last-bit noise stays out), inf as None,
+    tuples as lists, dicts and nested reports recursively."""
+    if value is None or type(value) in (bool, int, str):
+        return value
+    if isinstance(value, float):
+        return None if value == math.inf else float(f"{value:.12g}")
+    if isinstance(value, (list, tuple)):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: json_value(getattr(value, name)) for name in fields}
+    return value
+
+
+def _dumps(payload, indent: int | None = None) -> str:
+    """Strict JSON, sorted keys: no Infinity or NaN token is ever written."""
+    return json.dumps(json_value(payload), sort_keys=True, indent=indent,
+                      allow_nan=False)
 
 
 def _header(args: argparse.Namespace) -> dict:
@@ -48,7 +69,7 @@ def _payload(args: argparse.Namespace) -> dict:
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = _dumps(payload, indent=2)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -60,7 +81,7 @@ def cmd_invariants(args) -> int:
     g = graph_from_spec(args.input)
     payload = _payload(args)
     payload["graph6"] = encode_graph6(g)
-    payload["invariants"] = met.invariants(g).to_json_dict()
+    payload["invariants"] = met.invariants(g)
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -84,7 +105,7 @@ def cmd_color(args) -> int:
         chi, witness = col.distance_chromatic_number(
             g, args.gamma, cap=args.cap, time_budget=args.timeout)
         payload["chi"] = chi
-        payload["witness"] = witness.to_json_dict()
+        payload["witness"] = witness
         print(f"chi_{args.gamma} = {chi}", file=sys.stderr)
     elif args.palette is not None:
         pg = met.power_graph(g, args.gamma)
@@ -103,12 +124,10 @@ def cmd_spectral(args) -> int:
     g = graph_from_spec(args.input)
     payload = _payload(args)
     payload["graph6"] = encode_graph6(g)
-    payload["spectral"] = spec.spectral_radius(g).to_json_dict()
+    payload["spectral"] = spec.spectral_radius(g)
     if args.gamma >= 2:
-        payload["matrix_inequalities"] = spec.power_matrix_inequalities(
-            g, args.gamma).to_json_dict()
-        payload["power_bounds"] = spec.spectral_power_bounds(
-            g, args.gamma).to_json_dict()
+        payload["matrix_inequalities"] = spec.power_matrix_inequalities(g, args.gamma)
+        payload["power_bounds"] = spec.spectral_power_bounds(g, args.gamma)
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -131,32 +150,34 @@ def _bounds_row(report: bnd.BoundReport, n: int) -> dict:
 
 
 def _corpus_lines(path: str) -> list[str] | None:
-    """Graph6 lines when the input is a multi-graph corpus file, else None."""
+    """Graph6 lines when the input is a graph6 file, one line or more, else
+    None: a spec or an edge-list file is a single graph."""
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2:
+    if not lines:
         return None
     try:
         parse_graph6(lines[0])
     except Graph6Error:
-        return None  # multi-line edge list, not a corpus
+        return None  # an edge list
     return lines
 
 
 def _eval_one(line: str, gamma: int, cap: int, timeout: float | None) -> dict:
+    """The csv row of one graph6 line, with its JSON report line under "report"."""
     g = parse_graph6(line)
     if not col.in_scope(g, gamma):
         return {
             "id": line, "n": g.n, "delta": g.max_degree(), "gamma": gamma,
             "M": None, "best_bound": None, "exact_chi": None,
             "equality_class": "out-of-scope",
-            "report": {"graph6": line, "status": "out-of-scope"},
+            "report": _dumps({"graph6": line, "status": "out-of-scope"}),
         }
     report = bnd.evaluate_bounds(g, gamma, exact_cap=cap, time_budget=timeout)
     row = _bounds_row(report, g.n)
-    row["report"] = report.to_json_dict()
+    row["report"] = _dumps(report)
     return row
 
 
@@ -177,7 +198,7 @@ def cmd_bounds(args) -> int:
                 print(text, end="")
         else:
             payload = _payload(args)
-            payload["report"] = report.to_json_dict()
+            payload["report"] = report
             _emit(payload, args.output)
         return EXIT_OK
 
@@ -190,12 +211,12 @@ def cmd_bounds(args) -> int:
             out.write(f"# distchroma {__version__} gamma={args.gamma}\n")
             out.write(",".join(CSV_COLUMNS) + "\n")
         else:
-            out.write(json.dumps({"header": _header(args)}, sort_keys=True) + "\n")
+            out.write(_dumps({"header": _header(args)}) + "\n")
         for row in itertools.chain([first], rows):
             if args.format == "csv":
                 out.write(_csv_line(row) + "\n")
             else:
-                out.write(json.dumps(row["report"], sort_keys=True) + "\n")
+                out.write(row["report"] + "\n")
     finally:
         if args.output:
             out.close()
@@ -257,7 +278,7 @@ def cmd_scan(args) -> int:
     out_fh = None
 
     def write(obj: dict) -> None:
-        out_fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        out_fh.write(_dumps(obj) + "\n")
         out_fh.flush()
 
     try:
@@ -272,14 +293,14 @@ def cmd_scan(args) -> int:
                 records.append(rec)
         report = bnd.fold_scan(records, args.gamma)
         if out_fh:
-            write({"summary": report.to_json_dict()})
+            write({"summary": report})
     except KeyboardInterrupt:
         print("interrupted; the records written so far are kept", file=sys.stderr)
         return 130
     finally:
         if out_fh and args.output:
             out_fh.close()
-    if report.chi_equals_m or report.power_complete_m:
+    if report.chi_equals_m_candidates or report.power_complete_m_candidates:
         print("counterexample candidate found", file=sys.stderr)
         return EXIT_SOUNDNESS
     if report.skipped and args.strict:
@@ -307,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "random-regular:n=20,d=3,seed=42"),
         "--gamma": dict(type=int, default=2),
         "--output": dict(default=None),
-        "--cap": dict(type=int, default=_default_cap()),
+        "--cap": dict(type=int, default=col.DEFAULT_EXACT_CAP),
         "--timeout": dict(type=float, default=None),
         "--jobs": dict(type=int, default=1),
     }
@@ -364,8 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except bnd.SoundnessViolation as err:
         print(f"SOUNDNESS VIOLATION: {err}", file=sys.stderr)
-        print(json.dumps(err.report.to_json_dict(), sort_keys=True),
-              file=sys.stderr)
+        print(_dumps(err.report), file=sys.stderr)
         return EXIT_SOUNDNESS
     except (Graph6Error, GenerationError, col.SolverBudgetError,
             spec.SpectralConvergenceError, ValueError, OSError) as err:

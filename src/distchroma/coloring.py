@@ -63,9 +63,6 @@ class Coloring:
     def proper_on(self, g: Graph) -> bool:
         return all(self.assignment[u] != self.assignment[v] for u, v in g.edges)
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "assignment": list(self.assignment)}
-
 
 def normalize_coloring(assignment: Sequence[int]) -> Coloring:
     """Relabel colors by first occurrence; deterministic and gap-free."""
@@ -359,13 +356,6 @@ class CompletionFailure:
     stage: str  # "order" | "u" | "v"
     state_digest: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "blocking_vertex": self.blocking_vertex,
-            "stage": self.stage,
-            "state_digest": self.state_digest,
-        }
-
 
 def order_by_distance_from_edge(
     g: Graph, u: int, v: int, within: Iterable[int] | None = None
@@ -506,19 +496,11 @@ class StrategyOutcome:
         return self.coloring is not None
 
     def to_json_dict(self) -> dict:
-        return {
-            "applied": self.applied,
-            "gamma": self.gamma,
-            "max_degree": self.max_degree,
-            "m_value": self.m_value,
-            "palette_size": self.palette_size,
-            "hypotheses": self.hypotheses,
-            "seeds": self.seeds,
-            "colors_used": self.coloring.k if self.coloring else None,
-            "failure": self.failure.to_json_dict() if self.failure else None,
-            "used_exact_fallback": self.used_exact_fallback,
-            "attempts": self.attempts,
-        }
+        """The fields as reported: the number of colors, not the coloring."""
+        fields = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        coloring = fields.pop("coloring")
+        fields["colors_used"] = coloring.k if coloring else None
+        return fields
 
 
 def _finish(pc: PartialColoring, order: list[int], u: int, v: int):

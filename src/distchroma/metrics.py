@@ -298,23 +298,6 @@ class InvariantReport:
     is_bipartite: bool
     two_degree_regular: bool
 
-    def to_json_dict(self) -> dict:
-        def enc(x):
-            return None if x == INFINITE else x
-        return {
-            "n": self.n,
-            "m": self.m,
-            "max_degree": self.max_degree,
-            "min_degree": self.min_degree,
-            "girth": enc(self.girth),
-            "diameter": enc(self.diameter),
-            "connectivity": self.connectivity,
-            "is_connected": self.is_connected,
-            "is_regular": self.is_regular,
-            "is_bipartite": self.is_bipartite,
-            "two_degree_regular": self.two_degree_regular,
-        }
-
 
 def invariants(g: Graph) -> InvariantReport:
     degs = g.degrees()

@@ -63,14 +63,6 @@ class SpectralResult:
     residual: float
     perron_vector: tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda1": float(f"{self.lambda1:.12g}"),
-            "iterations": self.iterations,
-            "residual": float(f"{self.residual:.6g}"),
-            "perron_vector": [float(f"{x:.12g}") for x in self.perron_vector],
-        }
-
 
 @per_graph
 def spectral_radius(
@@ -135,18 +127,6 @@ class MatrixInequalityReport:
     equality_left: bool
     equality_right: bool
     equality_matches_girth: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "girth": None if self.girth == float("inf") else self.girth,
-            "girth_threshold": self.girth_threshold,
-            "girth_predicate": self.girth_predicate,
-            "series_dominates": self.series_dominates,
-            "bound_holds": self.bound_holds,
-            "equality": self.equality,
-            "equality_matches_girth": self.equality_matches_girth,
-        }
 
 
 def power_matrix_inequalities(g: Graph, gamma: int) -> MatrixInequalityReport:
@@ -223,24 +203,6 @@ class SpectralBoundReport:
     predicate_matches: bool
     strict_gap_ok: bool           # gamma >= 3: gap > tol
     flagged_small_gap: bool
-
-    def to_json_dict(self) -> dict:
-        fmt = lambda x: float(f"{x:.12g}")
-        return {
-            "gamma": self.gamma,
-            "tolerance": self.tolerance,
-            "lambda1_base": fmt(self.lambda1_base),
-            "lambda1_prev": fmt(self.lambda1_prev),
-            "lambda1_power": fmt(self.lambda1_power),
-            "power_bound": fmt(self.power_bound),
-            "gap": fmt(self.gap),
-            "square_leq_holds": self.square_leq_holds,
-            "equality_within_tol": self.equality_within_tol,
-            "predicate": self.predicate,
-            "predicate_matches": self.predicate_matches,
-            "strict_gap_ok": self.strict_gap_ok,
-            "flagged_small_gap": self.flagged_small_gap,
-        }
 
 
 def spectral_power_bounds(g: Graph, gamma: int) -> SpectralBoundReport:

@@ -298,8 +298,8 @@ def test_criterion_09_conjecture_scan(corpus_lines, gamma):
     t0 = time.monotonic()
     report = conjecture_scan(corpus_lines, gamma, jobs=2)
     assert report.skipped == 0
-    assert report.chi_equals_m == []
-    assert report.power_complete_m == []
+    assert report.chi_equals_m_candidates == []
+    assert report.power_complete_m_candidates == []
     assert report.scanned == 12099
     assert report.moore_count == 0
     print(f"\n[criterion 9] PASS - gamma={gamma}: scanned {report.scanned}, "

@@ -26,6 +26,7 @@ from distchroma import (
     resolve_odd_degree_case,
     star_graph,
 )
+from distchroma.cli import json_value
 
 SPIDER = from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
 
@@ -38,8 +39,8 @@ def test_detect_moore_petersen(petersen_graph):
     cert = detect_moore(petersen_graph, 2)
     assert cert.is_moore
     assert cert.order_expected == 10
-    assert cert.checks.is_regular and cert.checks.order_matches
-    assert cert.checks.girth_is_2gamma_plus_1 and cert.checks.diameter_is_gamma
+    assert cert.is_regular and cert.order_matches
+    assert cert.girth_is_2gamma_plus_1 and cert.diameter_is_gamma
 
 
 def test_detect_moore_hoffman_singleton(hoffman_singleton_graph):
@@ -50,7 +51,7 @@ def test_detect_moore_hoffman_singleton(hoffman_singleton_graph):
 def test_detect_moore_k4_fails_on_girth():
     cert = detect_moore(complete_graph(4), 2)
     assert not cert.is_moore
-    assert not cert.checks.girth_is_2gamma_plus_1
+    assert not cert.girth_is_2gamma_plus_1
 
 
 def test_detect_moore_rejects_low_degree():
@@ -137,7 +138,7 @@ def test_bound_report_json_roundtrip(petersen_graph):
     import json
 
     rep = evaluate_bounds(petersen_graph, 2)
-    payload = json.dumps(rep.to_json_dict(), sort_keys=True)
+    payload = json.dumps(json_value(rep), sort_keys=True)
     back = json.loads(payload)
     assert back["best_bound"] == 10
     assert back["moore"]["is_moore"] is True
@@ -148,7 +149,7 @@ def test_bound_report_rounds_lambda1_evidence():
 
     g = star_graph(7)  # lambda1 = sqrt(6), irrational
     lam = spectral_radius(g).lambda1
-    printed = [entry.to_json_dict()["evidence"]["lambda1"]
+    printed = [json_value(entry)["evidence"]["lambda1"]
                for entry in evaluate_bounds(g, 2).bounds if "lambda1" in entry.evidence]
     assert printed == [float(f"{lam:.12g}")] * 2 and lam not in printed
 
@@ -214,15 +215,15 @@ def test_clique_lemma_on_corpus_sample(corpus_lines):
 
 def test_scan_empty():
     rep = conjecture_scan([], 2)
-    assert rep.scanned == 0 and not rep.chi_equals_m and not rep.power_complete_m
+    assert rep.scanned == 0 and not rep.chi_equals_m_candidates and not rep.power_complete_m_candidates
 
 
 def test_scan_petersen_only(petersen_graph):
     rep = conjecture_scan([encode_graph6(petersen_graph)], 2)
     assert rep.scanned == 1
     assert rep.moore_count == 1
-    assert not rep.chi_equals_m  # Moore graphs are out of scope for this one
-    assert not rep.power_complete_m
+    assert not rep.chi_equals_m_candidates  # Moore graphs are out of scope for this one
+    assert not rep.power_complete_m_candidates
 
 
 def test_scan_small_corpus(corpus_lines):
@@ -230,8 +231,8 @@ def test_scan_small_corpus(corpus_lines):
     rep = conjecture_scan(small, 2)
     assert rep.skipped == 0
     assert rep.scanned + rep.out_of_scope == len(small)
-    assert not rep.chi_equals_m
-    assert not rep.power_complete_m
+    assert not rep.chi_equals_m_candidates
+    assert not rep.power_complete_m_candidates
     assert rep.girth_2gamma_count > 0  # girth-4 graphs exist here
 
 
@@ -246,7 +247,7 @@ def test_scan_parallel_matches_serial(corpus_lines):
     small = [ln for ln in corpus_lines if parse_graph6(ln).n == 7][:300]
     serial = conjecture_scan(small, 2, jobs=1)
     parallel = conjecture_scan(small, 2, jobs=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
+    assert serial == parallel
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +297,19 @@ def test_case_analysis_rejects_bad_hypotheses():
         resolve_odd_degree_case(101, 2, 0, 0)  # below threshold
     with pytest.raises(ValueError):
         resolve_odd_degree_case(10_000_003, 2, -1, 1)  # infeasible case
+
+
+@pytest.mark.parametrize("gamma", [2, 3, 4, 5])
+def test_case_analysis_threshold_is_odd_degree_threshold(gamma):
+    threshold = odd_degree_threshold(gamma)
+    for delta in range(threshold - 4, threshold + 5):
+        if delta % 2 == 0:
+            continue
+        if delta < threshold:
+            with pytest.raises(ValueError, match="threshold"):
+                resolve_odd_degree_case(delta, gamma, 0, 1)
+        else:
+            assert resolve_odd_degree_case(delta, gamma, 0, 1).contradiction == "moore"
 
 
 def test_odd_degree_bound_not_applicable_at_desk_scale(petersen_graph):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from distchroma import encode_graph6, petersen, star_graph
+from distchroma import encode_graph6, graph_from_spec, petersen, star_graph
 from distchroma.cli import EXIT_ERROR, EXIT_OK, EXIT_SOUNDNESS, main
 
 
@@ -315,10 +315,68 @@ def test_soundness_violation_survives_pickling():
     assert "broken bound" in str(err)
 
 
-def test_env_cap_override(monkeypatch, capsys):
-    monkeypatch.setenv("DISTCHROMA_CAP_N", "5")
-    code, _ = run(capsys, "color", "--input", "petersen", "--gamma", "2", "--exact")
+def test_env_cap_override(capsys):
+    code, _ = run(capsys, "color", "--input", "petersen", "--gamma", "2", "--exact",
+                  "--cap", "5")
     assert code == EXIT_ERROR  # petersen has 10 > 5 vertices
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("graph", ["star:6", "petersen"])
+def test_every_output_is_strict_json(graph, tmp_path, monkeypatch, capsys):
+    import distchroma.cli as cli
+
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(encode_graph6(graph_from_spec(graph)) + "\n")
+    g2 = ["--input", graph, "--gamma", "2"]
+    outputs = []
+    for argv in (["invariants", "--input", graph], ["power", *g2], ["color", *g2],
+                 ["color", "--exact", *g2], ["color", "--palette", "30", *g2],
+                 ["spectral", *g2], ["bounds", *g2]):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        outputs.append(out)
+    strategy = _strict_json(outputs[2])["strategy"]
+    assert strategy["hypotheses"]["girth"] == (None if graph == "star:6" else 5)
+    code, out = run(capsys, "formulas", "--cycle", "7", "--gamma", "2")
+    outputs.append(out.rsplit("\n", 2)[0])  # the JSON before the printed value
+    for argv in (["bounds", "--format", "jsonl"], ["scan"]):
+        code, out = run(capsys, *argv, "--input", str(corpus))
+        assert code == EXIT_OK
+        outputs.extend(out.splitlines())
+
+    report = cli.bnd.evaluate_bounds(graph_from_spec(graph), 2)
+
+    def violation(*args, **kwargs):
+        raise cli.bnd.SoundnessViolation("synthetic", report)
+
+    monkeypatch.setattr(cli.bnd, "evaluate_bounds", violation)
+    assert main(["bounds", "--input", graph, "--gamma", "2"]) == EXIT_SOUNDNESS
+    outputs.append(capsys.readouterr().err.splitlines()[1])
+    for text in outputs:
+        _strict_json(text)
+
+
+def test_one_line_graph6_file_is_a_corpus(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(encode_graph6(petersen()) + "\n")
+    code, out = run(capsys, "bounds", "--input", str(corpus), "--format", "jsonl")
+    lines = out.splitlines()
+    assert code == EXIT_OK and len(lines) == 2
+    assert "header" in json.loads(lines[0])
+    assert json.loads(lines[1])["best_bound"] == 10
+
+    corpus.write_text("@\n")  # the graph on no vertices: out of scope
+    code, out = run(capsys, "bounds", "--input", str(corpus), "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith("gamma=2")
+    assert out.splitlines()[2].endswith("out-of-scope")
 
 
 def test_version(capsys):

@@ -35,6 +35,7 @@ from distchroma import (
     two_degree_profile,
     vertex_connectivity,
 )
+from distchroma.cli import json_value
 
 import oracles
 
@@ -269,12 +270,12 @@ def test_invariants_report_petersen(petersen_graph):
     assert rep.is_regular and not rep.is_bipartite
     assert rep.girth == 5 and rep.diameter == 2 and rep.connectivity == 3
     assert rep.two_degree_regular
-    js = rep.to_json_dict()
+    js = json_value(rep)
     assert js["girth"] == 5 and js["is_connected"] is True
 
 
 def test_invariants_json_encodes_infinite_as_null():
-    js = invariants(path_graph(4)).to_json_dict()
+    js = json_value(invariants(path_graph(4)))
     assert js["girth"] is None
     assert math.isinf(invariants(path_graph(4)).girth)
 

@@ -11,7 +11,9 @@ Two checkouts that print the same lines write the same bytes for:
 - the ``color --exact`` JSON, chi with its witness coloring, of torus:5,7,
   torus:6,7 and tutte-coxeter at gamma = 2 and 3, header excluded. Each
   of these solves searches below the DSATUR color count, so its witness
-  pins the exact search.
+  pins the exact search;
+- the ``invariants`` JSON of the five named graphs, and their
+  ``spectral`` JSON at gamma = 2 and 3, header excluded.
 
 ``bounds`` reports print lambda1 and every bound value rounded to 12
 significant digits, so eigensolver last-bit noise does not reach them;
@@ -77,6 +79,18 @@ def main(argv: list[str] | None = None) -> int:
                 del payload["header"]
                 text = json.dumps(payload, sort_keys=True).encode()
                 print(f"color --exact {name} gamma={gamma} exit={code} {_digest(text)}")
+        for name in NAMED:
+            spec = str(tutte) if name == "tutte-coxeter" else name
+            runs = [("invariants", None)] + [("spectral", gamma) for gamma in (2, 3)]
+            for command, gamma in runs:
+                out = Path(tmp, f"{command}.json")
+                flags = () if gamma is None else ("--gamma", str(gamma))
+                code = cli.main([command, "--input", spec, *flags, "--output", str(out)])
+                payload = json.loads(out.read_text())
+                del payload["header"]
+                text = json.dumps(payload, sort_keys=True).encode()
+                at = "" if gamma is None else f" gamma={gamma}"
+                print(f"{command} {name}{at} exit={code} {_digest(text)}")
     return 0
 
 
