@@ -49,20 +49,32 @@ class MooreCertificate:
     is_moore: bool
 
 
+def _moore_conditions(g: Graph, gamma: int) -> tuple[bool, bool, bool]:
+    """Delta-regular, order M+1, girth 2*gamma+1: together they make a Moore
+    graph. The diameter gamma follows: with girth 2*gamma+1 the depth-gamma
+    BFS tree from any vertex holds 1 + Delta + ... + Delta(Delta-1)^(gamma-1)
+    = M+1 distinct vertices, that is, every vertex."""
+    delta = g.max_degree()
+    return (g.min_degree() == delta,
+            g.n == max_power_degree(delta, gamma) + 1,
+            met.girth(g) == 2 * gamma + 1)
+
+
 def detect_moore(g: Graph, gamma: int) -> MooreCertificate:
-    """Four-condition Moore check: Delta-regular, order M+1, girth 2*gamma+1,
-    diameter gamma. No hardcoded graph list; works on arbitrary inputs."""
+    """Moore check from _moore_conditions, with diameter gamma as evidence.
+    No hardcoded graph list; works on arbitrary inputs."""
     if not col.in_scope(g, gamma):
         raise ValueError("Moore detection requires a connected graph with "
                          "maximum degree >= 3")
     delta = g.max_degree()
-    m_value = max_power_degree(delta, gamma)
-    regular = g.min_degree() == delta
-    order = g.n == m_value + 1
-    girth_ok = met.girth(g) == 2 * gamma + 1
+    regular, order, girth_ok = _moore_conditions(g, gamma)
     diameter_ok = met.diameter(g) == gamma
-    return MooreCertificate(delta, gamma, m_value + 1, regular, order, girth_ok,
-                            diameter_ok, regular and order and girth_ok and diameter_ok)
+    is_moore = regular and order and girth_ok
+    if is_moore and not diameter_ok:
+        raise AssertionError(f"a Moore graph of diameter {met.diameter(g)}, "
+                             f"not gamma = {gamma}")
+    return MooreCertificate(delta, gamma, max_power_degree(delta, gamma) + 1,
+                            regular, order, girth_ok, diameter_ok, is_moore)
 
 
 @dataclass(frozen=True)
@@ -276,7 +288,7 @@ def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> d
         "status": "scanned",
         "graph6": line,
         "m_value": m_value,
-        "is_moore": detect_moore(g, gamma).is_moore,
+        "is_moore": all(_moore_conditions(g, gamma)),
         "girth_2gamma": met.girth(g) == 2 * gamma,
         "power_complete_m": power_is_complete_m(pg, m_value),
         "chi": None,

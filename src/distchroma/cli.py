@@ -24,9 +24,9 @@ from . import metrics as met
 from . import spectral as spec
 from .graphs import (
     GenerationError,
-    Graph6Error,
     encode_graph6,
     graph_from_spec,
+    input_lines,
     parse_graph6,
 )
 
@@ -136,95 +136,55 @@ CSV_COLUMNS = ("id", "n", "delta", "gamma", "M", "best_bound", "exact_chi",
                "equality_class")
 
 
-def _bounds_row(report: bnd.BoundReport, n: int) -> dict:
-    return {
-        "id": report.graph6,
-        "n": n,
-        "delta": report.delta,
-        "gamma": report.gamma,
-        "M": report.m_value,
-        "best_bound": report.best_bound,
-        "exact_chi": report.exact_chi,
-        "equality_class": report.equality_class,
-    }
+def _csv_line(*values) -> str:
+    return ",".join("" if v is None else str(v) for v in values)
 
 
-def _corpus_lines(path: str) -> list[str] | None:
-    """Graph6 lines when the input is a graph6 file, one line or more, else
-    None: a spec or an edge-list file is a single graph."""
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        return None
-    try:
-        parse_graph6(lines[0])
-    except Graph6Error:
-        return None  # an edge list
-    return lines
-
-
-def _eval_one(line: str, gamma: int, cap: int, timeout: float | None) -> dict:
-    """The csv row of one graph6 line, with its JSON report line under "report"."""
+def _eval_one(line: str, gamma: int, cap: int, timeout: float | None,
+              fmt: str) -> str:
+    """The output line of one graph6 line: its csv row, or its JSON report."""
     g = parse_graph6(line)
     if not col.in_scope(g, gamma):
-        return {
-            "id": line, "n": g.n, "delta": g.max_degree(), "gamma": gamma,
-            "M": None, "best_bound": None, "exact_chi": None,
-            "equality_class": "out-of-scope",
-            "report": _dumps({"graph6": line, "status": "out-of-scope"}),
-        }
+        if fmt == "csv":
+            return _csv_line(line, g.n, g.max_degree(), gamma, None, None, None,
+                             "out-of-scope")
+        return _dumps({"graph6": line, "status": "out-of-scope"})
     report = bnd.evaluate_bounds(g, gamma, exact_cap=cap, time_budget=timeout)
-    row = _bounds_row(report, g.n)
-    row["report"] = _dumps(report)
-    return row
+    if fmt == "csv":
+        return _csv_line(report.graph6, g.n, report.delta, gamma, report.m_value,
+                         report.best_bound, report.exact_chi, report.equality_class)
+    return _dumps(report)
 
 
 def cmd_bounds(args) -> int:
-    corpus = _corpus_lines(args.input)
-    if corpus is None:
-        g = graph_from_spec(args.input)
-        report = bnd.evaluate_bounds(g, args.gamma, exact_cap=args.cap,
-                                     time_budget=args.timeout)
-        if args.format == "csv":
-            lines = [",".join(CSV_COLUMNS),
-                     _csv_line(_bounds_row(report, g.n))]
-            text = f"# distchroma {__version__}\n" + "\n".join(lines) + "\n"
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                print(text, end="")
-        else:
-            payload = _payload(args)
-            payload["report"] = report
-            _emit(payload, args.output)
+    lines = input_lines(args.input)
+    if args.format == "json":
+        if len(lines) > 1:
+            raise ValueError(f"--format json writes one report, and {args.input} "
+                             f"holds {len(lines)} graphs: use --format jsonl")
+        payload = _payload(args)
+        payload["report"] = bnd.evaluate_bounds(
+            parse_graph6(lines[0]), args.gamma, exact_cap=args.cap,
+            time_budget=args.timeout)
+        _emit(payload, args.output)
         return EXIT_OK
 
-    rows = bnd.map_lines(_eval_one, corpus, args.gamma, args.cap, args.timeout,
-                         jobs=args.jobs)
+    rows = bnd.map_lines(_eval_one, lines, args.gamma, args.cap, args.timeout,
+                         args.format, jobs=args.jobs)
     first = next(rows)  # an error on the first graph leaves no output file
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         if args.format == "csv":
-            out.write(f"# distchroma {__version__} gamma={args.gamma}\n")
-            out.write(",".join(CSV_COLUMNS) + "\n")
+            out.write(f"# distchroma {__version__} gamma={args.gamma}\n"
+                      + _csv_line(*CSV_COLUMNS) + "\n")
         else:
             out.write(_dumps({"header": _header(args)}) + "\n")
         for row in itertools.chain([first], rows):
-            if args.format == "csv":
-                out.write(_csv_line(row) + "\n")
-            else:
-                out.write(row["report"] + "\n")
+            out.write(row + "\n")
     finally:
         if args.output:
             out.close()
     return EXIT_OK
-
-
-def _csv_line(row: dict) -> str:
-    return ",".join("" if row[c] is None else str(row[c]) for c in CSV_COLUMNS)
 
 
 def cmd_formulas(args) -> int:
@@ -271,8 +231,7 @@ def _resumed_records(args) -> tuple[list[dict], bool] | None:
 
 
 def cmd_scan(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = input_lines(args.input)
     resumed = _resumed_records(args)
     records, finished = resumed or ([], False)
     out_fh = None
@@ -358,17 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bounds", cmd_bounds, "evaluate every applicable bound",
                 "--input", "--gamma", "--output", "--cap", "--timeout", "--jobs")
     p.add_argument("--format", choices=("json", "jsonl", "csv"), default="json",
-                   help="corpus inputs emit one report per line (jsonl) or a "
-                        "csv projection")
+                   help="json: the report of one graph; jsonl: a header line and "
+                        "one report per graph; csv: one row per graph")
 
     p = command("formulas", cmd_formulas, "closed forms for paths and cycles",
                 "--gamma", "--output")
     p.add_argument("--path", type=int, default=None)
     p.add_argument("--cycle", type=int, default=None)
 
-    p = command("scan", cmd_scan, "conjecture scan over a graph6 corpus",
-                "--gamma", "--cap", "--jobs")
-    p.add_argument("--input", required=True, help="graph6 file, one per line")
+    p = command("scan", cmd_scan, "conjecture scan over the input graphs",
+                "--input", "--gamma", "--cap", "--jobs")
     p.add_argument("--output", default=None, help="JSON-lines report path")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when any graph was skipped")
@@ -387,8 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"SOUNDNESS VIOLATION: {err}", file=sys.stderr)
         print(_dumps(err.report), file=sys.stderr)
         return EXIT_SOUNDNESS
-    except (Graph6Error, GenerationError, col.SolverBudgetError,
-            spec.SpectralConvergenceError, ValueError, OSError) as err:
+    except (col.SolverBudgetError, spec.SpectralConvergenceError, ValueError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,4 +1,5 @@
-"""Immutable simple graphs, graph6/edge-list codecs, and graph generators.
+"""Immutable simple graphs, graph6/edge-list codecs, graph generators, and
+the one reader of the CLI's ``--input``.
 
 Vertices are dense 0-based indices. Adjacency is stored as one integer
 bitmask per vertex, which keeps neighborhood intersections and frontier
@@ -256,13 +257,6 @@ def encode_graph6(g: Graph) -> str:
     return out.decode("ascii")
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a graph6 corpus, one graph per non-blank line."""
-    for line in lines:
-        if line.strip():
-            yield parse_graph6(line)
-
-
 # ---------------------------------------------------------------------------
 # plain edge-list format: lines "u v", '#' comments, blank lines ignored.
 
@@ -436,73 +430,28 @@ def random_regular(n: int, d: int, seed: int | None = None, retries: int = 1000)
 
 
 # ---------------------------------------------------------------------------
-# declarative graph classes and the CLI mini-syntax
+# --input: a spec name in the CLI mini-syntax, or a file
 
 
-@dataclass(frozen=True)
-class GraphClass:
-    """Declarative description of a named or random graph."""
-
-    tag: str
-    params: tuple[int, ...] = ()
-    seed: int | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.tag not in _CLASSES:
-            raise GenerationError(f"unknown graph class tag {self.tag!r}")
-
-
-def generate(spec: GraphClass) -> Graph:
-    """Materialize a GraphClass; parameter validation errors raise GenerationError."""
-    _, arity, build = _CLASSES[spec.tag]
-    if len(spec.params) != arity:
-        raise GenerationError(
-            f"{spec.tag} expects {arity} parameters, got {len(spec.params)}")
-    return build(spec)
-
-
-def load_graph_file(path: str) -> Graph:
-    """Load a single graph: graph6 when the first line decodes, else edge list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    try:
-        return parse_graph6(first)
-    except Graph6Error:
-        return parse_edge_list(text)
-
-
-def _from_file(spec: GraphClass) -> Graph:
-    if not spec.path:
-        raise GenerationError("FromFile requires a path")
-    return load_graph_file(spec.path)
-
-
-# tag -> (name in the CLI mini-syntax, number of parameters, builder)
-_CLASSES = {
-    "Path": ("path", 1, lambda s: path_graph(*s.params)),
-    "Cycle": ("cycle", 1, lambda s: cycle_graph(*s.params)),
-    "Star": ("star", 1, lambda s: star_graph(*s.params)),
-    "Complete": ("complete", 1, lambda s: complete_graph(*s.params)),
-    "Petersen": ("petersen", 0, lambda s: petersen()),
-    "HoffmanSingleton": ("hoffman-singleton", 0, lambda s: hoffman_singleton()),
-    "CompleteBipartite": ("complete-bipartite", 2, lambda s: complete_bipartite(*s.params)),
-    "SquareLatticeTorus": ("torus", 2, lambda s: square_lattice_torus(*s.params)),
-    "HexLattice": ("hex", 2, lambda s: hex_lattice(*s.params)),
-    "RandomRegular": ("random-regular", 2,
-                      lambda s: random_regular(*s.params, seed=s.seed)),
-    "FromFile": (None, 0, _from_file),
+# spec name -> (number of parameters, builder)
+_SPECS = {
+    "path": (1, path_graph),
+    "cycle": (1, cycle_graph),
+    "star": (1, star_graph),
+    "complete": (1, complete_graph),
+    "petersen": (0, petersen),
+    "hoffman-singleton": (0, hoffman_singleton),
+    "complete-bipartite": (2, complete_bipartite),
+    "torus": (2, square_lattice_torus),
+    "hex": (2, hex_lattice),
+    "random-regular": (2, random_regular),
 }
 
 
-def class_from_spec(text: str) -> GraphClass:
-    """Parse the CLI mini-syntax, e.g. ``cycle:7`` or ``random-regular:n=20,d=3,seed=42``.
-
-    Anything that is not a recognized name is treated as a file path.
-    """
-    name, _, arg = text.partition(":")
-    name = name.strip().lower()
+def _build_spec(name: str, arg: str) -> Graph:
+    """The graph of a spec name and its parameter text, e.g. ``cycle`` and
+    ``7``, or ``random-regular`` and ``n=20,d=3,seed=42``."""
+    kwargs = {}
     if name == "random-regular":
         kv = {}
         for item in arg.split(","):
@@ -513,13 +462,39 @@ def class_from_spec(text: str) -> GraphClass:
         unknown = set(kv) - {"n", "d", "seed"}
         if unknown or "n" not in kv or "d" not in kv:
             raise GenerationError(f"random-regular needs n=,d=[,seed=]; got {sorted(kv)}")
-        return GraphClass("RandomRegular", (kv["n"], kv["d"]), seed=kv.get("seed"))
-    for tag, (spec_name, _, _) in _CLASSES.items():
-        if spec_name == name:
-            params = tuple(int(x) for x in arg.split(",") if x.strip()) if arg else ()
-            return GraphClass(tag, params)
-    return GraphClass("FromFile", path=text)
+        params, kwargs = (kv["n"], kv["d"]), {"seed": kv.get("seed")}
+    else:
+        params = tuple(int(x) for x in arg.split(",") if x.strip())
+    arity, build = _SPECS[name]
+    if len(params) != arity:
+        raise GenerationError(f"{name} expects {arity} parameters, got {len(params)}")
+    return build(*params, **kwargs)
+
+
+def input_lines(text: str) -> list[str]:
+    """The graphs that ``--input`` names, as graph6 lines, by one rule.
+
+    A spec name builds one graph; names are case-insensitive: ``petersen``,
+    ``cycle:7``, ``random-regular:n=20,d=3,seed=42``. Anything else is a
+    file path, so a spec name wins over a file of the same name (``./name``
+    reads the file). A file whose first non-blank line decodes as graph6
+    holds one graph per non-blank line; any other file is one graph, given
+    as an edge list.
+    """
+    name, _, arg = text.partition(":")
+    name = name.strip().lower()
+    if name in _SPECS:
+        return [encode_graph6(_build_spec(name, arg))]
+    with open(text, "r", encoding="utf-8") as fh:
+        body = fh.read()
+    lines = [ln.strip() for ln in body.splitlines() if ln.strip()]
+    try:
+        parse_graph6(lines[0] if lines else "")  # an empty file: no edges
+    except Graph6Error:
+        return [encode_graph6(parse_edge_list(body))]
+    return lines
 
 
 def graph_from_spec(text: str) -> Graph:
-    return generate(class_from_spec(text))
+    """The first graph that ``--input`` text names (see input_lines)."""
+    return parse_graph6(input_lines(text)[0])

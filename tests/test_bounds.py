@@ -19,6 +19,7 @@ from distchroma import (
     enumerate_odd_degree_cases,
     evaluate_bounds,
     from_edges,
+    hoffman_singleton,
     max_power_degree,
     odd_degree_threshold,
     parse_graph6,
@@ -63,6 +64,14 @@ def test_no_moore_graph_at_gamma3_small():
     # petersen is Moore only for gamma 2
     cert = detect_moore(petersen(), 3)
     assert not cert.is_moore
+
+
+def test_detect_moore_raises_on_a_moore_graph_of_another_diameter(monkeypatch):
+    import distchroma.metrics as met
+
+    monkeypatch.setattr(met, "diameter", lambda g: 3)
+    with pytest.raises(AssertionError, match="diameter 3"):
+        detect_moore(petersen(), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +250,25 @@ def test_scan_counts_skipped_on_tiny_cap(corpus_lines):
     rep = conjecture_scan(small, 2, exact_cap=5)
     assert rep.skipped == len([ln for ln in small
                                if parse_graph6(ln).max_degree() >= 3])
+
+
+@pytest.mark.parametrize("gamma", [2, 3])
+def test_scan_one_computes_no_diameter(gamma, corpus_lines, monkeypatch):
+    """The three Moore conditions imply diameter gamma, so scan_one never
+    computes a diameter, and its records stay the same."""
+    import distchroma.bounds as bnd
+    import distchroma.metrics as met
+
+    sample = corpus_lines[::10] + [encode_graph6(petersen()),
+                                   encode_graph6(hoffman_singleton())]
+    before = [bnd.scan_one(ln, gamma) for ln in sample]
+    assert any(rec.get("is_moore") for rec in before) == (gamma == 2)
+
+    def no_diameter(g):
+        raise AssertionError("scan_one computed a diameter")
+
+    monkeypatch.setattr(met, "diameter", no_diameter)
+    assert [bnd.scan_one(ln, gamma) for ln in sample] == before
 
 
 def test_scan_parallel_matches_serial(corpus_lines):

@@ -379,6 +379,58 @@ def test_one_line_graph6_file_is_a_corpus(tmp_path, capsys):
     assert out.splitlines()[2].endswith("out-of-scope")
 
 
+def test_every_subcommand_reads_a_spec_before_a_file(tmp_path, monkeypatch, capsys):
+    """--input names the same graphs everywhere: a spec name wins over a file
+    of the same name, and ./name reads the file."""
+    from distchroma import complete_graph
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "petersen").write_text(encode_graph6(complete_graph(4)) + "\n")
+    for name, g in (("petersen", petersen()), ("./petersen", complete_graph(4))):
+        code, out = run(capsys, "bounds", "--input", name, "--format", "jsonl")
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[1])["graph6"] == encode_graph6(g)
+        code, out = run(capsys, "invariants", "--input", name)
+        assert code == EXIT_OK and json.loads(out)["graph6"] == encode_graph6(g)
+        code, out = run(capsys, "scan", "--input", name)
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[1])["graph6"] == encode_graph6(g)
+
+
+def test_bounds_rows_whatever_the_input(capsys):
+    code, out = run(capsys, "bounds", "--input", "petersen", "--format", "jsonl")
+    assert code == EXIT_OK and len(out.splitlines()) == 2
+    code, out = run(capsys, "bounds", "--input", "cycle:9", "--format", "csv")
+    rows = out.splitlines()
+    assert code == EXIT_OK and len(rows) == 3
+    assert rows[0].endswith("gamma=2")
+    assert rows[2] == f"{encode_graph6(graph_from_spec('cycle:9'))},9,2,2,,,,out-of-scope"
+
+
+def test_bounds_json_takes_one_graph(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(encode_graph6(petersen()) + "\n")
+    code, out = run(capsys, "bounds", "--input", str(corpus))
+    assert code == EXIT_OK and json.loads(out)["report"]["best_bound"] == 10
+
+    corpus.write_text(encode_graph6(petersen()) + "\n" + encode_graph6(star_graph(5)) + "\n")
+    code = main(["bounds", "--input", str(corpus), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR and captured.out == ""
+    assert "jsonl" in captured.err
+
+
+def test_scan_reads_a_spec_and_an_edge_list(tmp_path, capsys):
+    code, out = run(capsys, "scan", "--input", "petersen")
+    assert code == EXIT_OK
+    assert json.loads(out.splitlines()[-1])["summary"]["moore_count"] == 1
+    edges = tmp_path / "k4.edges"
+    edges.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out = run(capsys, "scan", "--input", str(edges))
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    assert code == EXIT_OK and summary["scanned"] == 1 and summary["moore_count"] == 0
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

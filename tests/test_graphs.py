@@ -11,14 +11,11 @@ from distchroma import (
     EdgeListError,
     GenerationError,
     Graph6Error,
-    GraphClass,
-    class_from_spec,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     encode_graph6,
     from_edges,
-    generate,
     graph_from_spec,
     hex_lattice,
     hoffman_singleton,
@@ -33,6 +30,7 @@ from distchroma import (
     validate,
 )
 from distchroma import girth, diameter, is_connected
+from distchroma.graphs import input_lines
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +108,12 @@ def test_graph6_corpus_roundtrip(corpus_lines):
         assert encode_graph6(parse_graph6(line)) == line
 
 
-def test_read_graph6_lines_skips_blanks():
-    from distchroma import read_graph6_lines
-
-    graphs = list(read_graph6_lines(["D?{", "", "  ", "@", "\n"]))
-    assert [g.n for g in graphs] == [5, 1]
+def test_input_lines_skips_blanks(tmp_path):
+    p = tmp_path / "c.g6"
+    p.write_text("D?{\n\n  \n@\n\n")
+    lines = input_lines(str(p))
+    assert lines == ["D?{", "@"]
+    assert [parse_graph6(ln).n for ln in lines] == [5, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +220,31 @@ def test_random_regular_rejects_bad_parameters():
         random_regular(4, 4)   # d >= n
 
 
-def test_generate_dispatch():
-    assert generate(GraphClass("Path", (4,))).m == 3
-    assert generate(GraphClass("Petersen")).n == 10
+def test_generate_dispatch(tmp_path, monkeypatch):
+    assert graph_from_spec("path:4").m == 3
+    assert graph_from_spec("petersen").n == 10
     with pytest.raises(GenerationError):
-        generate(GraphClass("Cycle", ()))
-    with pytest.raises(GenerationError):
-        GraphClass("NoSuch")
+        graph_from_spec("cycle")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError):  # not a spec name, so a path, and missing
+        graph_from_spec("nosuch")
 
 
-@pytest.mark.parametrize("text, tag, n", [
+_DIRECT = {
+    "Path": lambda: path_graph(4),
+    "Cycle": lambda: cycle_graph(5),
+    "Star": lambda: star_graph(6),
+    "Complete": lambda: complete_graph(4),
+    "Petersen": petersen,
+    "HoffmanSingleton": hoffman_singleton,
+    "CompleteBipartite": lambda: complete_bipartite(2, 3),
+    "SquareLatticeTorus": lambda: square_lattice_torus(3, 4),
+    "HexLattice": lambda: hex_lattice(2, 3),
+    "RandomRegular": lambda: random_regular(8, 3, seed=1),
+}
+
+
+@pytest.mark.parametrize("text, family, n", [
     ("path:4", "Path", 4),
     ("cycle:5", "Cycle", 5),
     ("star:6", "Star", 6),
@@ -242,12 +256,12 @@ def test_generate_dispatch():
     ("hex:2,3", "HexLattice", 6),
     ("random-regular:n=8,d=3,seed=1", "RandomRegular", 8),
 ])
-def test_every_spec_name_builds_its_class(text, tag, n):
-    spec = class_from_spec(text)
-    assert spec.tag == tag
-    assert generate(spec).n == n
-    with pytest.raises(GenerationError):
-        generate(GraphClass(tag, spec.params + (3,)))
+def test_every_spec_name_builds_its_class(text, family, n):
+    g = graph_from_spec(text)
+    assert g.n == n
+    assert g.bits == _DIRECT[family]().bits  # the builder the name stands for
+    with pytest.raises(GenerationError):  # one parameter more
+        graph_from_spec(text + ("," if ":" in text else ":") + "3")
 
 
 def test_validate_raises_under_optimize():
@@ -268,15 +282,21 @@ def test_validate_raises_under_optimize():
     assert proc.stdout.strip() == "self-loop at 0"
 
 
-def test_spec_mini_syntax():
+def test_spec_mini_syntax(tmp_path, monkeypatch):
     assert graph_from_spec("petersen").n == 10
+    assert graph_from_spec(" Petersen").n == 10  # names are case-insensitive
     assert graph_from_spec("cycle:7").n == 7
     assert graph_from_spec("star:6").degrees().count(5) == 1
     assert graph_from_spec("complete-bipartite:3,4").m == 12
     g = graph_from_spec("random-regular:n=16,d=3,seed=7")
     assert g.degrees() == [3] * 16
-    spec = class_from_spec("some/file.g6")
-    assert spec.tag == "FromFile" and spec.path == "some/file.g6"
+    for bad in ("random-regular:n=16", "random-regular:n=16,d=3,k=1",
+                "random-regular:n16,d=3"):
+        with pytest.raises(GenerationError):
+            graph_from_spec(bad)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError):  # anything else is a file path
+        input_lines("some/file.g6")
 
 
 def test_from_file(tmp_path):
@@ -286,6 +306,7 @@ def test_from_file(tmp_path):
     p2 = tmp_path / "g.edges"
     p2.write_text("0 1\n1 2\n")
     assert graph_from_spec(str(p2)).m == 2
+    assert input_lines(str(p2)) == [encode_graph6(path_graph(3))]  # one graph
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ Two checkouts that print the same lines write the same bytes for:
 
 - ``scan`` and ``bounds --format jsonl`` over the shipped corpus at
   gamma = 2 and 3, header line excluded (it records the output path);
+- ``bounds --format csv`` over the shipped corpus at gamma = 2 and 3,
+  the whole file (its comment line holds no path);
 - the ``color`` strategy JSON of petersen, hoffman-singleton,
   tutte-coxeter (read from a graph6 file), torus:5,7 and hex:8,8 at
   gamma = 2 and 3;
@@ -60,6 +62,12 @@ def main(argv: list[str] | None = None) -> int:
                                  "--jobs", str(args.jobs), "--output", str(out), *extra])
                 body = out.read_bytes().split(b"\n", 1)[1]
                 print(f"{command} gamma={gamma} exit={code} {_digest(body)}")
+            out = Path(tmp, f"bounds{gamma}.csv")
+            code = cli.main(["bounds", "--input", str(CORPUS), "--gamma", str(gamma),
+                             "--jobs", str(args.jobs), "--output", str(out),
+                             "--format", "csv"])
+            print(f"bounds --format csv gamma={gamma} exit={code} "
+                  f"{_digest(out.read_bytes())}")
         for name in NAMED:
             spec = str(tutte) if name == "tutte-coxeter" else name
             for gamma in (2, 3):
