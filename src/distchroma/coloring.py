@@ -1,16 +1,22 @@
 """Exact and constructive distance coloring.
 
-The exact solver iterates k upward from the clique number, proving each
-smaller palette infeasible with a DSATUR-ordered backtracking search, so a
-returned value is certified minimal. The search is a bitset kernel: the
-vertices are ranked once by degree, the uncolored vertices of each
-saturation level form one bitmask, and each color keeps the bitmask of
-vertices adjacent to it, so a search node costs O(k) integer operations
-with no scan over the vertices. The greedy DSATUR coloring that starts
-the search is the kernel's first descent. The constructive side implements the
-save-a-color machinery: palette-limited greedy completion driven by vertex
-orders of decreasing distance from a seed edge, with per-vertex excess
-bookkeeping.
+The exact solver first closes a bracket [lb, ub] on the chromatic number.
+The clique number is the first lower bound and a greedy DSATUR coloring the
+first upper bound; when they meet, that is the answer. Otherwise lb rises
+to ceil(n/alpha), alpha the clique number of the complement, and a seeded
+Tabucol local search lowers ub one color at a time until an attempt fails
+or ub reaches lb. Then k runs upward from lb below ub, proving each palette
+infeasible with a DSATUR-ordered backtracking search, and the first k that
+colors is chi; if none does, ub is. So a returned value is certified
+minimal; outside the first case its witness is checked proper with a real
+raise. The search is a bitset kernel: the vertices are ranked once by
+degree, the uncolored vertices of each saturation level form one bitmask,
+and each color keeps the bitmask of vertices adjacent to it, so a search
+node costs O(k) integer operations with no scan over the vertices. The
+greedy DSATUR coloring is the kernel's first descent. The constructive side
+implements the save-a-color machinery: palette-limited greedy completion
+driven by vertex orders of decreasing distance from a seed edge, with
+per-vertex excess bookkeeping.
 
 excess(v) = 1 + |colors available at v| - |uncolored neighbors of v in the
 target graph|. Under any partial coloring with M-1 colors (M = largest
@@ -21,6 +27,7 @@ makes the greedy completion work.
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -48,9 +55,11 @@ class SolverCapError(ValueError):
 class SolverBudgetError(RuntimeError):
     """Node or wall-clock budget exhausted; distinct from infeasibility."""
 
-    def __init__(self, kind: str, detail: str):
-        super().__init__(f"{kind} budget exhausted: {detail}")
-        self.kind = kind
+    def __init__(self, kind: str, detail: str, lb: int | None = None,
+                 ub: int | None = None):
+        bracket = "" if lb is None else f"; chi in [{lb}, {ub}]"
+        super().__init__(f"{kind} budget exhausted: {detail}{bracket}")
+        self.kind, self.detail, self.lb, self.ub = kind, detail, lb, ub
 
 
 @dataclass(frozen=True)
@@ -181,6 +190,101 @@ def _solve_k(
     return out
 
 
+# Tabucol's seed and its iteration budget at each palette. An attempt that
+# fails costs the whole budget, about 15 us an iteration at n = 40..56
+# (Python 3.11 on a 2-CPU x86-64 Xeon), and every solve with lb < chi fails
+# once, at chi - 1. On the two instances of the hard-exact benchmark where
+# finding the coloring at chi was most of the solve (random-regular n=56
+# seed 1 and n=40 seed 5, d = 3, gamma = 3), 30 seeds took a median of 1274
+# and 1769 iterations to reach chi. Of budgets 1000, 2000 and 4000, 2000
+# gave the least expected solve time. Seed 0 is the first one tried; with it
+# both instances reach chi, and with seed 2 the second falls back to the
+# exact search.
+TABUCOL_SEED = 0
+TABUCOL_ITERATIONS = 2000
+
+
+@per_graph
+def _independence_number(g: Graph) -> int:
+    """alpha(g), the clique number of the complement."""
+    full = (1 << g.n) - 1
+    complement = Graph(g.n, tuple(full ^ b ^ 1 << v for v, b in enumerate(g.bits)))
+    return max_clique(complement, cap=g.n)[0]
+
+
+def _tabucol(g: Graph, start: Coloring, deadline: float | None) -> list[int] | None:
+    """A proper coloring with fewer colors than ``start``, or None.
+
+    Tabucol (Hertz & de Werra, Computing 1987) with the tabu tenure of
+    Galinier & Hao (J. Comb. Optim. 1999), on k = start.k - 1 colors. The
+    smallest color class of ``start`` is dropped, and each of its vertices,
+    in index order, takes the color seen least among its neighbors. Each
+    iteration moves a conflicting vertex to the color that removes the most
+    conflicts, ties broken by the seeded generator. A move back to a color
+    the vertex left is tabu for a random 0..9 plus 0.6 times the number of
+    conflicting vertices iterations, unless it reaches fewer conflicts than
+    ever before. The run stops at zero conflicts or after
+    TABUCOL_ITERATIONS; past the deadline it raises SolverBudgetError.
+    """
+    rng = random.Random(TABUCOL_SEED)
+    n, k = g.n, start.k - 1
+    nbrs = [list(_iter_bits(b)) for b in g.bits]
+    sizes = [start.assignment.count(c) for c in range(start.k)]
+    drop = min(range(start.k), key=lambda c: (sizes[c], -c))
+    colors = [c - (c > drop) if c != drop else -1 for c in start.assignment]
+    for v in range(n):
+        if colors[v] < 0:
+            seen = [0] * k
+            for u in nbrs[v]:
+                if colors[u] >= 0:
+                    seen[colors[u]] += 1
+            colors[v] = seen.index(min(seen))
+    counts = [[0] * k for _ in range(n)]  # counts[v][c]: neighbors of v colored c
+    for v in range(n):
+        for u in nbrs[v]:
+            counts[v][colors[u]] += 1
+    conflicts = sum(counts[v][colors[v]] for v in range(n)) // 2
+    conflicting = sum(1 << v for v in range(n) if counts[v][colors[v]])
+    fewest = conflicts
+    tabu = [[0] * k for _ in range(n)]  # the first iteration a move is allowed
+    for it in range(TABUCOL_ITERATIONS):
+        if not conflicts:
+            return colors
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverBudgetError("time", "wall-clock limit hit")
+        best, moves = n * n, []
+        aspiration = fewest - conflicts  # a tabu move is allowed below this
+        for v in _iter_bits(conflicting):
+            row, cv, banned = counts[v], colors[v], tabu[v]
+            own = row[cv]
+            for c in range(k):
+                delta = row[c] - own
+                if delta > best or c == cv or (banned[c] > it and delta >= aspiration):
+                    continue
+                if delta < best:
+                    best, moves = delta, []
+                moves.append((v, c))
+        if not moves:
+            continue
+        v, c = moves[rng.randrange(len(moves))]
+        old = colors[v]
+        colors[v] = c
+        for u in nbrs[v]:
+            row = counts[u]
+            row[old] -= 1
+            row[c] += 1
+            if colors[u] == old and not row[old]:
+                conflicting &= ~(1 << u)
+            elif colors[u] == c:
+                conflicting |= 1 << u
+        if not counts[v][c]:
+            conflicting &= ~(1 << v)
+        conflicts += best
+        fewest = min(fewest, conflicts)
+        tabu[v][old] = it + 1 + rng.randrange(10) + int(0.6 * conflicting.bit_count())
+    return None if conflicts else colors
+
+
 def chromatic_number(
     g: Graph,
     *,
@@ -190,27 +294,40 @@ def chromatic_number(
 ) -> tuple[int, Coloring]:
     """Exact chromatic number with a witness.
 
-    Minimality is certified: either k equals the clique lower bound or the
-    (k-1)-palette search returned infeasible.
+    Minimality is certified: k is either a lower bound (the clique number,
+    or ceil(n/alpha) once DSATUR needs more colors than the clique number)
+    or the (k-1)-palette search returned infeasible. A budget stop raises
+    SolverBudgetError with the bracket [lb, ub] known at that moment.
     """
     if g.n > cap:
         raise SolverCapError(f"exact solver capped at n={cap}, got n={g.n}")
     if g.n == 0:
         return 0, Coloring((), 0)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    lb, _ = max_clique(g, cap=max(cap, g.n))
+    omega, _ = max_clique(g, cap=max(cap, g.n))
     witness = dsatur_upper_bound(g)
-    if witness.k == lb:
-        return lb, witness
-    chi = witness.k
-    for k in range(lb, witness.k):
-        found = _solve_k(g, k, node_budget, deadline)
-        if found is not None:
-            chi, witness = k, normalize_coloring(found)
-            break
+    if witness.k == omega:
+        return omega, witness
+    lb = max(omega, -(-g.n // _independence_number(g)))
+    ub = witness.k
+    try:
+        while ub > lb:
+            found = _tabucol(g, witness, deadline)
+            if found is None:
+                break
+            witness = normalize_coloring(found)
+            ub = witness.k
+        for k in range(lb, ub):
+            found = _solve_k(g, k, node_budget, deadline)
+            if found is not None:
+                witness = normalize_coloring(found)
+                break
+            lb = k + 1
+    except SolverBudgetError as err:
+        raise SolverBudgetError(err.kind, err.detail, lb, ub) from None
     if not witness.proper_on(g):
-        raise AssertionError(f"the {chi}-coloring found is not proper")
-    return chi, witness
+        raise AssertionError(f"the {witness.k}-coloring found is not proper")
+    return witness.k, witness
 
 
 def distance_chromatic_number(

@@ -112,6 +112,16 @@ def brute_clique_number(g: Graph) -> int:
     return best
 
 
+def brute_independence_number(g: Graph) -> int:
+    """The largest vertex subset with no edge inside, by trying subsets
+    from the largest size down."""
+    for k in range(g.n, 0, -1):
+        for subset in combinations(range(g.n), k):
+            if not any(g.has_edge(a, b) for a, b in combinations(subset, 2)):
+                return k
+    return 0
+
+
 def collatz_wielandt(g: Graph, vector) -> tuple[Fraction, Fraction]:
     """Exact min and max of (AX)_i / X_i, X the float vector scaled exactly
     to positive integers. For a connected graph they enclose lambda1

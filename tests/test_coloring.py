@@ -41,7 +41,7 @@ from distchroma import (
     tutte_coxeter,
 )
 from distchroma import clique_number, detect_moore, girth, is_connected
-from distchroma.coloring import _solve_k
+from distchroma.coloring import _independence_number, _solve_k, _tabucol
 
 import oracles
 
@@ -89,11 +89,16 @@ def test_solver_cap():
 
 
 def test_solver_budget_distinct_from_unsat():
-    # a 3-chromatic graph searched at k=2 with a tiny node budget
-    g = power_graph(cycle_graph(13), 2).graph
+    # chi = 6 and the bracket stops at [5, 6], so k=5 is searched with a
+    # tiny node budget; the error names the bracket
+    g = power_graph(tutte_coxeter(), 2).graph
     with pytest.raises(SolverBudgetError) as err:
         chromatic_number(g, node_budget=3)
     assert err.value.kind == "nodes"
+    assert (err.value.lb, err.value.ub) == (5, 6)
+    assert "chi in [5, 6]" in str(err.value)
+    # on C13 squared, ceil(13/alpha) = ceil(13/4) = 4 = chi: nothing is searched
+    assert chromatic_number(power_graph(cycle_graph(13), 2).graph, node_budget=3)[0] == 4
 
 
 def test_witness_uses_every_color():
@@ -173,17 +178,88 @@ def test_dsatur_matches_the_reference_on_corpus_powers(corpus_lines):
 def test_search_frees_the_graph():
     """No reference cycle keeps a searched graph alive: with the cyclic
     collector off, it goes with its last reference."""
-    square = power_graph(square_lattice_torus(5, 7), 2).graph
+    square = power_graph(tutte_coxeter(), 2).graph
     target = Graph(square.n, square.bits)
     alive = weakref.ref(target)
     gc.disable()
     try:
         k, _ = chromatic_number(target)
-        assert k == 7 < dsatur_upper_bound(target).k  # so the search ran
+        lower = max(clique_number(target), -(-target.n // _independence_number(target)))
+        assert lower < k < dsatur_upper_bound(target).k  # so the search ran
         del target
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_independence_number_matches_brute_force(corpus_lines):
+    for line in corpus_lines[::10]:
+        g = parse_graph6(line)
+        for gamma in (1, 2, 3):
+            target = power_graph(g, gamma).graph
+            assert _independence_number(target) == oracles.brute_independence_number(
+                target), (line, gamma)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SEARCHES))
+def test_bracket_keeps_chi_of_the_reference_k_loop(name):
+    """chi equals the first k from omega up that the reference search
+    colors, or the DSATUR count when none below it does."""
+    g, gamma = REFERENCE_SEARCHES[name]
+    target = power_graph(g, gamma).graph
+    upper = normalize_coloring(oracles.reference_dsatur(target)).k
+    expected = next((k for k in range(clique_number(target), upper)
+                     if oracles.reference_solve_k(target, k, None, None)[0] is not None),
+                    upper)
+    assert chromatic_number(target)[0] == expected
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SEARCHES))
+def test_tabucol_is_deterministic_and_proper(name):
+    g, gamma = REFERENCE_SEARCHES[name]
+    target = power_graph(g, gamma).graph
+    start = dsatur_upper_bound(target)
+    found = _tabucol(target, start, None)
+    assert found is not None and found == _tabucol(target, start, None)
+    coloring = normalize_coloring(found)
+    assert coloring.k < start.k and coloring.proper_on(target)
+
+
+_IMPROPER_TABUCOL = """
+from distchroma import coloring, graph_from_spec, power_graph
+
+real = coloring._tabucol
+
+def improper(g, start, deadline):
+    found = real(g, start, deadline)
+    u, v = g.edges[0]
+    found[v] = found[u]
+    return found
+
+coloring._tabucol = improper
+try:
+    coloring.chromatic_number(power_graph(graph_from_spec("torus:5,7"), 2).graph)
+except AssertionError as err:
+    print(err)
+"""
+
+
+def test_improper_tabucol_coloring_raises():
+    """A wrong upper bound from the local search cannot become chi: the
+    witness check raises, with and without ``python -O``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import distchroma
+
+    src = str(Path(distchroma.__file__).resolve().parents[1])
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", _IMPROPER_TABUCOL],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "the 7-coloring found is not proper", flags
 
 
 def test_solver_minimality_against_oracle(corpus_lines):

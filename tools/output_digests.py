@@ -12,8 +12,9 @@ Two checkouts that print the same lines write the same bytes for:
   gamma = 2 and 3;
 - the ``color --exact`` JSON, chi with its witness coloring, of torus:5,7,
   torus:6,7 and tutte-coxeter at gamma = 2 and 3, header excluded. Each
-  of these solves searches below the DSATUR color count, so its witness
-  pins the exact search;
+  of these solves has a DSATUR count above the clique number, so its
+  witness pins the seeded Tabucol that lowers the upper bound, and the
+  exact search where Tabucol stops above chi;
 - the ``invariants`` JSON of the five named graphs, and their
   ``spectral`` JSON at gamma = 2 and 3, header excluded.
 
