@@ -1,18 +1,19 @@
 """Exact and constructive distance coloring.
 
-The exact solver first closes a bracket [lb, ub] on the chromatic number.
-The clique number is the first lower bound and a greedy DSATUR coloring the
+The exact solver works in a bracket [lb, ub] on the chromatic number. The
+clique number is the first lower bound and a greedy DSATUR coloring the
 first upper bound; when they meet, that is the answer. Otherwise lb rises
-to ceil(n/alpha), alpha the clique number of the complement, and a seeded
-Tabucol local search lowers ub one color at a time until an attempt fails
-or ub reaches lb. Then k runs upward from lb below ub, proving each palette
-infeasible with a DSATUR-ordered backtracking search, and the first k that
-colors is chi; if none does, ub is. So a returned value is certified
-minimal; outside the first case its witness is checked proper with a real
-raise. The search is a bitset kernel: the vertices are ranked once by
-degree, the uncolored vertices of each saturation level form one bitmask,
-and each color keeps the bitmask of vertices adjacent to it, so a search
-node costs O(k) integer operations with no scan over the vertices. The
+to ceil(n/alpha), alpha the clique number of the complement, and while
+ub > lb a DSATUR-ordered backtracking search runs on ub - 1 colors, with a
+seeded Tabucol local search advanced one iteration per search node. A
+coloring from either lowers ub to its color count; a search that ends
+without one proves ub - 1 infeasible, so chi = ub. So a returned value is
+certified minimal; outside the first case its witness is checked proper
+with a real raise. The search is a bitset kernel: the vertices are ranked
+once by degree, the uncolored vertices of each saturation level form one
+bitmask, and each color keeps the bitmask of vertices adjacent to it, so a
+search node costs O(k) integer operations plus a pass over the top
+saturation level when it holds a tie, with no scan over the vertices. The
 greedy DSATUR coloring is the kernel's first descent. The constructive side
 implements the save-a-color machinery: palette-limited greedy completion
 driven by vertex orders of decreasing distance from a seed edge, with
@@ -31,7 +32,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, _iter_bits, bfs_layers, per_graph
 from .metrics import (
@@ -118,22 +119,29 @@ def _solve_k(
     k: int,
     node_budget: int | None,
     deadline: float | None,
+    local: Iterator[list[int] | None] | None = None,
 ) -> list[int] | None:
     """Find a proper k-coloring or prove none exists.
 
-    DSATUR vertex selection (most distinct neighbor colors, then highest
-    degree, then lowest index) with first-occurrence color symmetry
-    breaking: colors are tried in ascending order below min(k, used + 1),
-    so at most one fresh color index is opened per decision. Each color
-    tried is one node; the budget is checked at every node and the
-    deadline at every 1024th.
+    DSATUR vertex selection (most distinct neighbor colors; below n colors,
+    then most uncolored neighbors that see as many; then highest degree,
+    then lowest index) with first-occurrence color symmetry breaking:
+    colors are tried in ascending order below min(k, used + 1), so at most
+    one fresh color index is opened per decision. Each color tried is one
+    node; the budget is checked at every node and the deadline at every
+    1024th. With n colors the search is the greedy DSATUR coloring.
+
+    ``local`` is a local search on k colors, advanced one step per node: it
+    yields None while it runs and a proper coloring when it finds one,
+    which the search then returns. When it stops, the search runs alone.
 
     The search runs on bitsets over the ranked vertices of ``_ranked``, so
-    the tie-break is the lowest set bit. ``buckets[s]`` holds the uncolored
-    vertices that see s distinct colors, and ``adj[c]`` the vertices
-    adjacent to color c. Giving v the color c moves N(v) & ~adj[c] up one
-    bucket. An explicit stack of frames keeps each level's buckets, color
-    count and old adj[c], so a backtrack restores them without recomputing.
+    the last tie-break is the lowest set bit. ``buckets[s]`` holds the
+    uncolored vertices that see s distinct colors, and ``adj[c]`` the
+    vertices adjacent to color c. Giving v the color c moves N(v) & ~adj[c]
+    up one bucket. An explicit stack of frames keeps each level's buckets,
+    color count and old adj[c], so a backtrack restores them without
+    recomputing.
     """
     n = g.n
     if n == 0:
@@ -141,6 +149,7 @@ def _solve_k(
     if k <= 0:
         return None
     order, nbr = _ranked(g)
+    ties = k < n  # break saturation ties by neighbors in the top bucket
     buckets = [(1 << n) - 1]  # by saturation, up to the highest nonempty one
     adj = [0] * k
     colors = [0] * n
@@ -151,6 +160,15 @@ def _solve_k(
     while len(frames) < n:
         b = buckets[-1]
         v = (b & -b).bit_length() - 1
+        if ties and b & (b - 1):
+            most, rest = -1, b
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                same = (nbr[u] & b).bit_count()
+                if same > most:
+                    most, v = same, u
+                rest ^= low
         if len(buckets) > used:  # v sees all `used` colors: only a new one is free
             allowed = 1 << used if used < k else 0
         else:
@@ -170,6 +188,12 @@ def _solve_k(
             raise SolverBudgetError("nodes", f"over {node_budget} decisions")
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             raise SolverBudgetError("time", "wall-clock limit hit")
+        if local is not None:
+            found = next(local, ())
+            if found:
+                return found
+            if found == ():  # the local search gave up
+                local = None
         old = adj[c]
         frames.append((v, allowed ^ low, used, buckets, c, old))
         colors[v] = c
@@ -190,16 +214,17 @@ def _solve_k(
     return out
 
 
-# Tabucol's seed and its iteration budget at each palette. An attempt that
-# fails costs the whole budget, about 15 us an iteration at n = 40..56
-# (Python 3.11 on a 2-CPU x86-64 Xeon), and every solve with lb < chi fails
-# once, at chi - 1. On the two instances of the hard-exact benchmark where
-# finding the coloring at chi was most of the solve (random-regular n=56
-# seed 1 and n=40 seed 5, d = 3, gamma = 3), 30 seeds took a median of 1274
-# and 1769 iterations to reach chi. Of budgets 1000, 2000 and 4000, 2000
-# gave the least expected solve time. Seed 0 is the first one tried; with it
-# both instances reach chi, and with seed 2 the second falls back to the
-# exact search.
+# Tabucol's seed and its iteration budget at each palette. It runs one
+# iteration per node of the search on the same palette, 15-30 us against a
+# node's 5-10 us at n = 44..63 (Python 3.11 on a 2-CPU x86-64 Xeon), so at
+# chi - 1, where it must fail, it runs no more iterations than the search
+# takes nodes to prove that palette infeasible, nor more than the budget.
+# On the two instances of the hard-exact benchmark where finding the
+# coloring at chi was most of the solve (random-regular n=56 seed 1 and n=40
+# seed 5, d = 3, gamma = 3), 30 seeds took a median of 1274 and 1769
+# iterations to reach chi; the budget of 2000 was chosen, among 1000, 2000
+# and 4000, when a failed attempt ran alone before the search. Seed 0 is the
+# first one tried; with it both instances reach chi.
 TABUCOL_SEED = 0
 TABUCOL_ITERATIONS = 2000
 
@@ -212,8 +237,11 @@ def _independence_number(g: Graph) -> int:
     return max_clique(complement, cap=g.n)[0]
 
 
-def _tabucol(g: Graph, start: Coloring, deadline: float | None) -> list[int] | None:
-    """A proper coloring with fewer colors than ``start``, or None.
+def _tabucol(
+    g: Graph, start: Coloring, deadline: float | None
+) -> Iterator[list[int] | None]:
+    """Steps of a local search for a proper coloring with fewer colors
+    than ``start``: None before each iteration, then the coloring if found.
 
     Tabucol (Hertz & de Werra, Computing 1987) with the tabu tenure of
     Galinier & Hao (J. Comb. Optim. 1999), on k = start.k - 1 colors. The
@@ -249,7 +277,8 @@ def _tabucol(g: Graph, start: Coloring, deadline: float | None) -> list[int] | N
     tabu = [[0] * k for _ in range(n)]  # the first iteration a move is allowed
     for it in range(TABUCOL_ITERATIONS):
         if not conflicts:
-            return colors
+            break
+        yield None
         if deadline is not None and time.monotonic() > deadline:
             raise SolverBudgetError("time", "wall-clock limit hit")
         best, moves = n * n, []
@@ -282,7 +311,8 @@ def _tabucol(g: Graph, start: Coloring, deadline: float | None) -> list[int] | N
         conflicts += best
         fewest = min(fewest, conflicts)
         tabu[v][old] = it + 1 + rng.randrange(10) + int(0.6 * conflicting.bit_count())
-    return None if conflicts else colors
+    if not conflicts:
+        yield colors
 
 
 def chromatic_number(
@@ -296,8 +326,12 @@ def chromatic_number(
 
     Minimality is certified: k is either a lower bound (the clique number,
     or ceil(n/alpha) once DSATUR needs more colors than the clique number)
-    or the (k-1)-palette search returned infeasible. A budget stop raises
-    SolverBudgetError with the bracket [lb, ub] known at that moment.
+    or the (k-1)-palette search returned infeasible. One loop searches
+    ub - 1 colors, from the DSATUR count down, each search stepping a
+    Tabucol run from the best coloring so far, until a search fails or ub
+    reaches lb. A node budget bounds each search, and so the Tabucol
+    iterations run beside it. A budget stop raises SolverBudgetError with
+    the bracket [lb, ub] known at that moment.
     """
     if g.n > cap:
         raise SolverCapError(f"exact solver capped at n={cap}, got n={g.n}")
@@ -312,17 +346,12 @@ def chromatic_number(
     ub = witness.k
     try:
         while ub > lb:
-            found = _tabucol(g, witness, deadline)
+            found = _solve_k(g, ub - 1, node_budget, deadline,
+                             _tabucol(g, witness, deadline))
             if found is None:
                 break
             witness = normalize_coloring(found)
             ub = witness.k
-        for k in range(lb, ub):
-            found = _solve_k(g, k, node_budget, deadline)
-            if found is not None:
-                witness = normalize_coloring(found)
-                break
-            lb = k + 1
     except SolverBudgetError as err:
         raise SolverBudgetError(err.kind, err.detail, lb, ub) from None
     if not witness.proper_on(g):

@@ -180,8 +180,8 @@ def is_proper(g: Graph, assignment) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the DSATUR search as it was before the bitset kernel: a per-node scan of
-# every uncolored vertex and per-vertex color counters. The kernel must walk
+# the DSATUR search written plainly, with no bitset buckets: a per-node scan
+# of every uncolored vertex and per-vertex color counters. The kernel must walk
 # the same tree, so it must return the same colorings, use the same number
 # of nodes and exhaust a budget at the same node.
 
@@ -212,7 +212,10 @@ def reference_solve_k(
     node_budget: int | None,
     deadline: float | None,
 ) -> tuple[list[int] | None, int]:
-    """A proper k-coloring or None, and the number of nodes searched."""
+    """A proper k-coloring or None, and the number of nodes searched.
+
+    Below n colors, a tie on saturation goes to the vertex with the most
+    uncolored neighbors of its own saturation, and only then to degree."""
     n = g.n
     if n == 0:
         return [], 0
@@ -224,11 +227,18 @@ def reference_solve_k(
     degs = g.degrees()
     nodes = 0
 
+    def same_saturation(u: int) -> int:
+        """Uncolored neighbors of u that see as many colors as u does."""
+        s = sat[u].bit_count()
+        return sum(1 for w in _iter_bits(g.bits[u])
+                   if colors[w] < 0 and sat[w].bit_count() == s)
+
     def pick() -> int:
         best, key = -1, None
         for u in range(n):
             if colors[u] < 0:
-                cand = (sat[u].bit_count(), degs[u], -u)
+                ties = same_saturation(u) if k < n else 0
+                cand = (sat[u].bit_count(), ties, degs[u], -u)
                 if key is None or cand > key:
                     best, key = u, cand
         return best

@@ -41,7 +41,9 @@ from distchroma import (
     tutte_coxeter,
 )
 from distchroma import clique_number, detect_moore, girth, is_connected
-from distchroma.coloring import _independence_number, _solve_k, _tabucol
+from distchroma import coloring as coloring_module
+from distchroma.coloring import (
+    TABUCOL_ITERATIONS, _independence_number, _solve_k, _tabucol)
 
 import oracles
 
@@ -89,14 +91,14 @@ def test_solver_cap():
 
 
 def test_solver_budget_distinct_from_unsat():
-    # chi = 6 and the bracket stops at [5, 6], so k=5 is searched with a
-    # tiny node budget; the error names the bracket
+    # chi = 6 in the bracket [5, 7], so k = 6 is searched first, with a
+    # tiny node budget that also stops Tabucol; the error names the bracket
     g = power_graph(tutte_coxeter(), 2).graph
     with pytest.raises(SolverBudgetError) as err:
         chromatic_number(g, node_budget=3)
     assert err.value.kind == "nodes"
-    assert (err.value.lb, err.value.ub) == (5, 6)
-    assert "chi in [5, 6]" in str(err.value)
+    assert (err.value.lb, err.value.ub) == (5, 7)
+    assert "chi in [5, 7]" in str(err.value)
     # on C13 squared, ceil(13/alpha) = ceil(13/4) = 4 = chi: nothing is searched
     assert chromatic_number(power_graph(cycle_graph(13), 2).graph, node_budget=3)[0] == 4
 
@@ -219,10 +221,50 @@ def test_tabucol_is_deterministic_and_proper(name):
     g, gamma = REFERENCE_SEARCHES[name]
     target = power_graph(g, gamma).graph
     start = dsatur_upper_bound(target)
-    found = _tabucol(target, start, None)
-    assert found is not None and found == _tabucol(target, start, None)
+    steps = list(_tabucol(target, start, None))
+    assert steps == list(_tabucol(target, start, None))
+    *running, found = steps
+    assert found is not None and running == [None] * len(running)
+    assert len(running) <= TABUCOL_ITERATIONS
     coloring = normalize_coloring(found)
     assert coloring.k < start.k and coloring.proper_on(target)
+
+
+def test_tabucol_steps_never_outnumber_search_nodes(corpus_lines, monkeypatch):
+    """Tabucol advances one iteration per search node, so on a small graph
+    it costs no more than the search it runs beside."""
+    steps: list[list[int]] = []  # [palette, steps taken] per Tabucol run
+
+    def counted(g, start, deadline):
+        steps.append([start.k - 1, 0])
+        for found in _tabucol(g, start, deadline):
+            steps[-1][1] += 1
+            yield found
+
+    monkeypatch.setattr(coloring_module, "_tabucol", counted)
+    searched = 0
+    for line in corpus_lines[::10]:
+        g = parse_graph6(line)
+        for gamma in (1, 2, 3):
+            target = power_graph(g, gamma).graph
+            if dsatur_upper_bound(target).k == clique_number(target):
+                continue
+            steps.clear()
+            assert chromatic_number(target)[0] == oracles.brute_chromatic_number(
+                target), (line, gamma)
+            for k, taken in steps:
+                nodes = oracles.reference_solve_k(target, k, None, None)[1]
+                assert taken <= nodes, (line, gamma, k, taken, nodes)
+            searched += bool(steps)
+    assert searched
+
+
+def test_chi_where_the_search_and_tabucol_share_the_work():
+    """omega = 6 and DSATUR = 8 on both: the first colors 7 and proves 6
+    infeasible, the second proves 7 infeasible (the values of the k loop
+    from omega up that this loop replaced)."""
+    assert chromatic_number(power_graph(random_regular(40, 4, seed=1), 2).graph)[0] == 7
+    assert distance_chromatic_number(tutte_coxeter(), 3)[0] == 8
 
 
 _IMPROPER_TABUCOL = """
@@ -231,10 +273,11 @@ from distchroma import coloring, graph_from_spec, power_graph
 real = coloring._tabucol
 
 def improper(g, start, deadline):
-    found = real(g, start, deadline)
-    u, v = g.edges[0]
-    found[v] = found[u]
-    return found
+    for found in real(g, start, deadline):
+        if found:
+            u, v = g.edges[0]
+            found[v] = found[u]
+        yield found
 
 coloring._tabucol = improper
 try:

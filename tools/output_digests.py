@@ -13,8 +13,8 @@ Two checkouts that print the same lines write the same bytes for:
 - the ``color --exact`` JSON, chi with its witness coloring, of torus:5,7,
   torus:6,7 and tutte-coxeter at gamma = 2 and 3, header excluded. Each
   of these solves has a DSATUR count above the clique number, so its
-  witness pins the seeded Tabucol that lowers the upper bound, and the
-  exact search where Tabucol stops above chi;
+  witness pins the exact search and the seeded Tabucol stepped beside it:
+  whichever of the two colors a palette first;
 - the ``invariants`` JSON of the five named graphs, and their
   ``spectral`` JSON at gamma = 2 and 3, header excluded.
 
