@@ -29,12 +29,16 @@ class SoundnessViolation(AssertionError):
     """An exact chromatic number exceeded a bound that applied to it.
 
     This is the build-failing event: it means either the implementation or
-    a theorem it encodes is wrong. Carries the offending report.
+    a theorem it encodes is wrong. Carries the offending report; the message
+    and report sit in ``args``, so the error pickles with its report.
     """
 
     def __init__(self, message: str, report: "BoundReport | None" = None):
-        super().__init__(message)
+        super().__init__(message, report)
         self.report = report
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -192,11 +196,7 @@ def evaluate_bounds(
 
     if exact_chi is not None:
         for e in entries:
-            if not e.applicable:
-                continue
-            ok = exact_chi < e.value + INT_GUARD if e.strict else \
-                exact_chi <= e.value + INT_GUARD
-            if not ok:
+            if e.applicable and exact_chi > e.value_int:
                 raise SoundnessViolation(
                     f"chi_{gamma} = {exact_chi} breaks bound "
                     f"{e.source} = {e.value}", report)

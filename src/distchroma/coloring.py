@@ -54,13 +54,17 @@ class SolverCapError(ValueError):
 
 
 class SolverBudgetError(RuntimeError):
-    """Node or wall-clock budget exhausted; distinct from infeasibility."""
+    """Node or wall-clock budget exhausted; distinct from infeasibility.
+    The fields sit in ``args``, so the error pickles out of a pool worker."""
 
     def __init__(self, kind: str, detail: str, lb: int | None = None,
                  ub: int | None = None):
-        bracket = "" if lb is None else f"; chi in [{lb}, {ub}]"
-        super().__init__(f"{kind} budget exhausted: {detail}{bracket}")
+        super().__init__(kind, detail, lb, ub)
         self.kind, self.detail, self.lb, self.ub = kind, detail, lb, ub
+
+    def __str__(self) -> str:
+        bracket = "" if self.lb is None else f"; chi in [{self.lb}, {self.ub}]"
+        return f"{self.kind} budget exhausted: {self.detail}{bracket}"
 
 
 @dataclass(frozen=True)
@@ -144,10 +148,6 @@ def _solve_k(
     recomputing.
     """
     n = g.n
-    if n == 0:
-        return []
-    if k <= 0:
-        return None
     order, nbr = _ranked(g)
     ties = k < n  # break saturation ties by neighbors in the top bucket
     buckets = [(1 << n) - 1]  # by saturation, up to the highest nonempty one
@@ -234,7 +234,7 @@ def _independence_number(g: Graph) -> int:
     """alpha(g), the clique number of the complement."""
     full = (1 << g.n) - 1
     complement = Graph(g.n, tuple(full ^ b ^ 1 << v for v, b in enumerate(g.bits)))
-    return max_clique(complement, cap=g.n)[0]
+    return max_clique(complement)[0]
 
 
 def _tabucol(
@@ -335,10 +335,8 @@ def chromatic_number(
     """
     if g.n > cap:
         raise SolverCapError(f"exact solver capped at n={cap}, got n={g.n}")
-    if g.n == 0:
-        return 0, Coloring((), 0)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    omega, _ = max_clique(g, cap=max(cap, g.n))
+    omega, _ = max_clique(g)
     witness = dsatur_upper_bound(g)
     if witness.k == omega:
         return omega, witness
@@ -364,10 +362,10 @@ def distance_chromatic_number(
     gamma: int,
     *,
     cap: int = DEFAULT_EXACT_CAP,
-    node_budget: int | None = None,
     time_budget: float | None = None,
 ) -> tuple[int, Coloring]:
-    """Chromatic number of the gamma-th power of a connected graph."""
+    """Chromatic number of the gamma-th power of a connected graph, by
+    chromatic_number with the same cap and time budget (no node budget)."""
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     if not is_connected(g):
@@ -375,9 +373,7 @@ def distance_chromatic_number(
     if g.n > cap:
         raise SolverCapError(f"exact solver capped at n={cap}, got n={g.n}")
     pg = power_graph(g, gamma)
-    return chromatic_number(
-        pg.graph, cap=cap, node_budget=node_budget, time_budget=time_budget
-    )
+    return chromatic_number(pg.graph, cap=cap, time_budget=time_budget)
 
 
 def path_distance_chromatic(n: int, gamma: int) -> int:

@@ -16,19 +16,27 @@ from typing import Iterable, Iterator
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 text; ``offset`` is the byte position of the fault."""
+    """Malformed graph6 text; ``offset`` is the byte position of the fault.
+    The fields sit in ``args``, so the error pickles out of a pool worker."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (byte offset {self.offset})"
 
 
 class EdgeListError(ValueError):
-    """Malformed edge-list text; ``line`` is the 1-based source line."""
+    """Malformed edge-list text; ``line`` is the 1-based source line. The
+    fields sit in ``args``, so the error pickles (see Graph6Error)."""
 
     def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
+        super().__init__(message, line)
         self.line = line
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (line {self.line})"
 
 
 class GenerationError(ValueError):
@@ -160,18 +168,16 @@ def is_connected(g: Graph) -> bool:
 # graph6 codec (McKay's format): one graph per line, bytes in 63..126.
 
 _G6_HEADER = ">>graph6<<"
+_G6_SIX_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}  # byte -> its bits
 
 
 def _g6_read_order(data: bytes, pos: int) -> tuple[int, int]:
+    """The order at ``pos`` (1, '~' + 3 or '~~' + 6 bytes) and the position after it."""
     if pos >= len(data):
         raise Graph6Error("empty graph6 payload", pos)
-    b0 = data[pos]
-    if not 63 <= b0 <= 126:
-        raise Graph6Error(f"byte {b0} outside graph6 range 63..126", pos)
-    if b0 != 126:
-        return b0 - 63, pos + 1
-    # extended forms: '~' + 3 bytes, or '~~' + 6 bytes
-    if pos + 1 < len(data) and data[pos + 1] == 126:
+    if data[pos] != 126:
+        start, count = pos, 1
+    elif data[pos + 1:pos + 2] == b"~":
         start, count = pos + 2, 6
     else:
         start, count = pos + 1, 3
@@ -187,7 +193,8 @@ def _g6_read_order(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (optional ``>>graph6<<`` header allowed)."""
+    """Decode one graph6 line (optional ``>>graph6<<`` header allowed). The
+    payload is one bit string; column v holds the pairs (0, v) ... (v - 1, v)."""
     line = text.rstrip("\r\n")
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
@@ -202,33 +209,23 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - pos > nbytes:
         raise Graph6Error("trailing garbage after adjacency bytes", pos + nbytes)
+    payload = data[pos:]
+    try:
+        column_bits = "".join(map(_G6_SIX_BITS.__getitem__, payload))
+    except KeyError as err:
+        b = err.args[0]
+        raise Graph6Error(f"byte {b} outside graph6 range 63..126",
+                          pos + payload.index(b)) from None
+    if "1" in column_bits[nbits:]:
+        raise Graph6Error("nonzero padding bits", len(data) - 1)
     bits = [0] * n
-    bit_index = 0
-    for i in range(pos, pos + nbytes):
-        b = data[i]
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside graph6 range 63..126", i)
-        group = b - 63
-        for k in range(5, -1, -1):
-            if bit_index >= nbits:
-                if (group >> k) & 1:
-                    raise Graph6Error("nonzero padding bits", i)
-                continue
-            if (group >> k) & 1:
-                u, v = _pair_from_index(bit_index)
-                bits[u] |= 1 << v
-                bits[v] |= 1 << u
-            bit_index += 1
+    start = 0
+    for v in range(1, n):
+        bits[v] = column = int(column_bits[start:start + v][::-1], 2)
+        start += v
+        for u in _iter_bits(column):
+            bits[u] |= 1 << v
     return Graph(n, tuple(bits))
-
-
-def _pair_from_index(idx: int) -> tuple[int, int]:
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    v = 1
-    while v * (v - 1) // 2 <= idx:
-        v += 1
-    v -= 1
-    return idx - v * (v - 1) // 2, v
 
 
 def encode_graph6(g: Graph) -> str:
@@ -398,17 +395,20 @@ def lcf_graph(n: int, shifts: tuple[int, ...], repeats: int) -> Graph:
     return from_edges(n, edges)
 
 
-def random_regular(n: int, d: int, seed: int | None = None, retries: int = 1000) -> Graph:
+RANDOM_REGULAR_RETRIES = 1000  # pairings drawn by random_regular before it gives up
+
+
+def random_regular(n: int, d: int, seed: int | None = None) -> Graph:
     """Connected d-regular graph via the pairing model with rejection.
 
-    Deterministic for a fixed seed. Raises GenerationError when the retry
-    budget is exhausted, never silently relaxes the constraints.
+    Deterministic for a fixed seed. Raises GenerationError when all
+    RANDOM_REGULAR_RETRIES pairings fail; never silently relaxes the constraints.
     """
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise GenerationError(f"invalid random-regular parameters n={n}, d={d}")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(retries):
+    for _ in range(RANDOM_REGULAR_RETRIES):
         rng.shuffle(stubs)
         bits = [0] * n
         ok = True
@@ -425,7 +425,8 @@ def random_regular(n: int, d: int, seed: int | None = None, retries: int = 1000)
         if is_connected(g):
             return g
     raise GenerationError(
-        f"random-regular(n={n}, d={d}) not connected/simple after {retries} retries"
+        f"random-regular(n={n}, d={d}) not connected/simple after "
+        f"{RANDOM_REGULAR_RETRIES} retries"
     )
 
 

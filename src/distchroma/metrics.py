@@ -18,7 +18,7 @@ INFINITE = math.inf
 
 
 class CliqueCapError(ValueError):
-    """Exact clique search refused: graph larger than the configured cap."""
+    """clique_number refused a graph larger than its cap."""
 
 
 def bfs_distances(g: Graph, source: int) -> list[int | float]:
@@ -234,12 +234,8 @@ def vertex_connectivity(g: Graph) -> int:
 # exact maximum clique (branch and bound with greedy coloring bound)
 
 
-def max_clique(g: Graph, cap: int = 200) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique size and one witness clique."""
-    if g.n > cap:
-        raise CliqueCapError(f"clique search capped at n={cap}, got {g.n}")
-    if g.n == 0:
-        return 0, ()
+def max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum clique size and one witness clique; the cap is clique_number's."""
     best: list = [0, ()]  # size, clique
     _expand(g.bits, [], (1 << g.n) - 1, best)
     return best[0], tuple(sorted(best[1]))
@@ -277,7 +273,10 @@ def _expand(bits: tuple[int, ...], R: list[int], P: int, best: list) -> None:
 
 
 def clique_number(g: Graph, cap: int = 200) -> int:
-    return max_clique(g, cap)[0]
+    """The clique number; raises CliqueCapError above ``cap`` vertices."""
+    if g.n > cap:
+        raise CliqueCapError(f"clique search capped at n={cap}, got {g.n}")
+    return max_clique(g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -136,11 +136,28 @@ def test_evaluate_bounds_star():
     assert rep.best_bound == 6
 
 
-def test_evaluate_bounds_soundness_check_fires_on_bad_theorem():
-    # sanity: the violation path is exercised by feeding an impossible bound
-    rep = evaluate_bounds(complete_graph(4), 2)
-    with pytest.raises(SoundnessViolation):
-        raise SoundnessViolation("synthetic", rep)
+def test_evaluate_bounds_soundness_check_fires_on_planted_chi(monkeypatch):
+    """A planted wrong chi must break the strict spectral-power bound.
+
+    On star_graph(5) at gamma = 3, lambda1 = 2, so spectral-power is
+    2**3 + 1 = 9 and strict: chi < 9, whose integer form is 8. So chi = 9
+    breaks it although 9 < 9 + INT_GUARD, and chi = 8 does not."""
+    import distchroma.bounds as bnd
+
+    g = star_graph(5)
+    real = bnd.col.distance_chromatic_number
+    for chi in (9, 8):
+        monkeypatch.setattr(bnd.col, "distance_chromatic_number",
+                            lambda *a, chi=chi, **k: (chi, real(*a, **k)[1]))
+        if chi == 9:
+            with pytest.raises(SoundnessViolation, match="spectral-power") as exc:
+                evaluate_bounds(g, 3)
+            rep = exc.value.report
+        else:
+            rep = evaluate_bounds(g, 3)
+        entry = next(e for e in rep.bounds if e.source == "spectral-power")
+        assert (entry.value, entry.strict, entry.value_int) == (9.0, True, 8)
+        assert (rep.best_bound, rep.exact_chi) == (8, chi)
 
 
 def test_bound_report_json_roundtrip(petersen_graph):

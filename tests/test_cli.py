@@ -306,13 +306,96 @@ def test_scan_strict_exits_on_skips(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_soundness_violation_survives_pickling():
+def _exception_samples():
+    """One instance of every exception class defined in distchroma."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import distchroma
+    from distchroma import bounds
+
+    report = bounds.evaluate_bounds(petersen(), 2)
+    samples = {
+        "Graph6Error": ("payload too short", 2),
+        "EdgeListError": ("expected two tokens, got 3", 4),
+        "GenerationError": ("cycle needs n >= 3",),
+        "CliqueCapError": ("clique search capped at n=5, got 10",),
+        "SolverCapError": ("exact solver capped at n=5, got n=10",),
+        "SolverBudgetError": ("nodes", "over 3 decisions", 5, 7),
+        "SpectralConvergenceError": ("no convergence",),
+        "SoundnessViolation": ("chi_2 = 11 breaks bound x = 10.0", report),
+    }
+    found = {}
+    for info in pkgutil.iter_modules(distchroma.__path__):
+        module = importlib.import_module(f"distchroma.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found[name] = cls
+    assert sorted(found) == sorted(samples)
+    out = [found[name](*args) for name, args in samples.items()]
+    out.append(found["SolverBudgetError"]("time", "wall-clock limit hit"))
+    out.append(found["SoundnessViolation"]("broken bound"))
+    return out
+
+
+def test_every_exception_survives_pickling():
+    """A pool worker's error reaches the parent by pickle: unpickling calls
+    the class with ``args``, so a constructor that keeps only the message
+    there would raise TypeError in the pool's result thread and hang it."""
     import pickle
 
-    from distchroma import SoundnessViolation
+    samples = _exception_samples()
+    for err in samples:
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err) and back.args == err.args
+        assert vars(back) == vars(err)
+    assert str(samples[-2]) == "time budget exhausted: wall-clock limit hit"
+    assert str(samples[-1]) == "broken bound" and samples[-1].report is None
 
-    err = pickle.loads(pickle.dumps(SoundnessViolation("broken bound")))
-    assert "broken bound" in str(err)
+
+def _run_cli(*argv, timeout=30.0):
+    """The distchroma command in a subprocess of its own session. A run
+    that outlives ``timeout`` has its process group killed and fails."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import distchroma
+
+    env = dict(os.environ, PYTHONPATH=str(Path(distchroma.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "distchroma.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"distchroma {' '.join(argv)} still running after {timeout} s")
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        pass  # no process of its group is left
+    else:
+        os.killpg(proc.pid, signal.SIGKILL)
+        pytest.fail(f"distchroma {' '.join(argv)} left processes running")
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("command", [["bounds", "--format", "jsonl"], ["scan"]],
+                         ids=["bounds", "scan"])
+def test_malformed_line_stops_a_pool_run(tmp_path, command):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("D?{\nD?{\nD?\nD?{\n")
+    argv = [*command, "--input", str(corpus), "--gamma", "2"]
+    serial = _run_cli(*argv, "--jobs", "1")
+    assert serial == (EXIT_ERROR, "error: payload too short: need 2 adjacency "
+                                  "bytes, have 1 (byte offset 2)\n")
+    assert _run_cli(*argv, "--jobs", "2") == serial
 
 
 def test_env_cap_override(capsys):
