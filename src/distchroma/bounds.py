@@ -227,9 +227,7 @@ def power_is_complete_m(pg: Graph, m_value: int) -> bool:
     return pg.n == m_value and pg.m == m_value * (m_value - 1) // 2
 
 
-def check_clique_exclusion(
-    g: Graph, gamma: int, *, clique_cap: int = 200
-) -> CliqueExclusionReport:
+def check_clique_exclusion(g: Graph, gamma: int) -> CliqueExclusionReport:
     """For a non-Moore graph, the gamma-th power must not contain a clique
     of size M while also having more than M vertices. Also records whether
     the power equals K_M outright (expected never)."""
@@ -240,7 +238,7 @@ def check_clique_exclusion(
     pg = met.power_graph(g, gamma).graph
     complete_m = power_is_complete_m(pg, m_value)
     try:
-        omega = met.clique_number(pg, cap=clique_cap)
+        omega = met.clique_number(pg)
     except met.CliqueCapError:
         return CliqueExclusionReport(
             encode_graph6(g), gamma, m_value, pg.n, None, None,

@@ -22,13 +22,7 @@ from . import bounds as bnd
 from . import coloring as col
 from . import metrics as met
 from . import spectral as spec
-from .graphs import (
-    GenerationError,
-    encode_graph6,
-    graph_from_spec,
-    input_lines,
-    parse_graph6,
-)
+from .graphs import encode_graph6, graph_from_spec, input_lines, parse_graph6
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -193,12 +187,10 @@ def cmd_formulas(args) -> int:
         value = col.path_distance_chromatic(args.path, args.gamma)
         payload["family"] = "path"
         payload["n"] = args.path
-    elif args.cycle is not None:
+    else:
         value = col.cycle_distance_chromatic(args.cycle, args.gamma)
         payload["family"] = "cycle"
         payload["n"] = args.cycle
-    else:
-        raise GenerationError("formulas needs --path N or --cycle N")
     payload["gamma"] = args.gamma
     payload["chi"] = value
     _emit(payload, args.output)
@@ -306,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("color", cmd_color, "exact or constructive distance coloring",
                 "--input", "--gamma", "--output", "--cap", "--timeout")
-    p.add_argument("--exact", action="store_true",
-                   help="run the exact solver (default: save-a-color strategy)")
-    p.add_argument("--palette", type=int, default=None,
-                   help="greedy-color the power graph with this many colors")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true",
+                      help="run the exact solver (default: save-a-color strategy)")
+    mode.add_argument("--palette", type=int, default=None,
+                      help="greedy-color the power graph with this many colors")
 
     command("spectral", cmd_spectral, "spectral radius and matrix checks",
             "--input", "--gamma", "--output")
@@ -322,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("formulas", cmd_formulas, "closed forms for paths and cycles",
                 "--gamma", "--output")
-    p.add_argument("--path", type=int, default=None)
-    p.add_argument("--cycle", type=int, default=None)
+    family = p.add_mutually_exclusive_group(required=True)
+    family.add_argument("--path", type=int, default=None)
+    family.add_argument("--cycle", type=int, default=None)
 
     p = command("scan", cmd_scan, "conjecture scan over the input graphs",
                 "--input", "--gamma", "--cap", "--jobs")

@@ -16,8 +16,8 @@ search node costs O(k) integer operations plus a pass over the top
 saturation level when it holds a tie, with no scan over the vertices. The
 greedy DSATUR coloring is the kernel's first descent. The constructive side
 implements the save-a-color machinery: palette-limited greedy completion
-driven by vertex orders of decreasing distance from a seed edge, with
-per-vertex excess bookkeeping.
+driven by vertex orders of decreasing distance from a seed edge, on
+bitmasks too: each vertex keeps the set of colors its neighbors use.
 
 excess(v) = 1 + |colors available at v| - |uncolored neighbors of v in the
 target graph|. Under any partial coloring with M-1 colors (M = largest
@@ -31,7 +31,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, _iter_bits, bfs_layers, per_graph
@@ -370,8 +370,6 @@ def distance_chromatic_number(
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     if not is_connected(g):
         raise ValueError("distance chromatic number requires a connected graph")
-    if g.n > cap:
-        raise SolverCapError(f"exact solver capped at n={cap}, got n={g.n}")
     pg = power_graph(g, gamma)
     return chromatic_number(pg.graph, cap=cap, time_budget=time_budget)
 
@@ -412,9 +410,11 @@ def cycle_distance_chromatic(n: int, gamma: int) -> int:
 class PartialColoring:
     """Partial proper coloring of a power graph with a fixed palette.
 
-    Tracks, incrementally: per-vertex counts of colored neighbors per color
-    and the number of uncolored neighbors. Owned by a single solver run;
-    not safe to share while mutating.
+    Kept as bitmasks, like the exact search: ``_seen[v]`` holds the colors
+    on v's colored neighbors, ``_classes[c]`` the vertices colored c and
+    ``_uncolored`` the uncolored vertices. The available colors, the excess
+    and the uncolored neighbors of a vertex are read off them. Owned by a
+    single solver run; not safe to share while mutating.
     """
 
     def __init__(self, target: PowerGraph, palette_size: int):
@@ -424,50 +424,70 @@ class PartialColoring:
         self.palette_size = palette_size
         n = target.graph.n
         self.assignment: list[int | None] = [None] * n
-        self._cnt = [[0] * palette_size for _ in range(n)]
-        self.uncolored_neighbors = target.graph.degrees()
+        self._seen = [0] * n
+        self._classes = [0] * palette_size
+        self._uncolored = (1 << n) - 1
+
+    def _free(self, v: int) -> int:
+        """The colors available at v, as a bitmask."""
+        return ~self._seen[v] & (1 << self.palette_size) - 1
 
     def available(self, v: int) -> set[int]:
-        row = self._cnt[v]
-        return {c for c in range(self.palette_size) if row[c] == 0}
+        return set(_iter_bits(self._free(v)))
+
+    def uncolored_neighbors(self, v: int) -> int:
+        return (self.target.graph.bits[v] & self._uncolored).bit_count()
 
     def excess(self, v: int) -> int:
-        return 1 + len(self.available(v)) - self.uncolored_neighbors[v]
+        return 1 + self._free(v).bit_count() - self.uncolored_neighbors(v)
 
     def is_colored(self, v: int) -> bool:
         return self.assignment[v] is not None
 
     def uncolored_vertices(self) -> list[int]:
-        return [v for v, c in enumerate(self.assignment) if c is None]
+        return list(_iter_bits(self._uncolored))
 
     def assign(self, v: int, c: int) -> None:
         if self.assignment[v] is not None:
             raise ValueError(f"vertex {v} already colored")
         if not 0 <= c < self.palette_size:
             raise ValueError(f"color {c} outside palette of {self.palette_size}")
-        if self._cnt[v][c] != 0:
+        if self._seen[v] >> c & 1:
             raise ValueError(f"color {c} conflicts with a neighbor of {v}")
         self.assignment[v] = c
+        self._classes[c] |= 1 << v
+        self._uncolored ^= 1 << v
         for u in _iter_bits(self.target.graph.bits[v]):
-            self._cnt[u][c] += 1
-            self.uncolored_neighbors[u] -= 1
+            self._seen[u] |= 1 << c
 
     def unassign(self, v: int) -> None:
+        """Uncolor v; a neighbor keeps seeing v's color while another of its
+        neighbors has it."""
         c = self.assignment[v]
         if c is None:
             raise ValueError(f"vertex {v} is not colored")
         self.assignment[v] = None
-        for u in _iter_bits(self.target.graph.bits[v]):
-            self._cnt[u][c] -= 1
-            self.uncolored_neighbors[u] += 1
+        self._classes[c] ^= 1 << v
+        self._uncolored |= 1 << v
+        bits = self.target.graph.bits
+        for u in _iter_bits(bits[v]):
+            if not bits[u] & self._classes[c]:
+                self._seen[u] &= ~(1 << c)
+
+    def _assign_least(self, v: int) -> bool:
+        """Give v its least available color; False when none is left."""
+        free = self._free(v)
+        if free:
+            self.assign(v, (free & -free).bit_length() - 1)
+        return bool(free)
 
     def is_complete(self) -> bool:
-        return all(c is not None for c in self.assignment)
+        return not self._uncolored
 
     def to_coloring(self) -> Coloring:
         if not self.is_complete():
             raise ValueError("coloring is not complete")
-        return normalize_coloring([c for c in self.assignment])  # type: ignore[misc]
+        return normalize_coloring(self.assignment)  # type: ignore[arg-type]
 
     def state_digest(self) -> str:
         blob = repr(self.assignment).encode()
@@ -484,9 +504,7 @@ def greedy_coloring(
         raise ValueError("order must be a permutation of the vertices")
     pc = PartialColoring(pg, palette_size)
     for v in order:
-        avail = pc.available(v)
-        if avail:
-            pc.assign(v, min(avail))
+        pc._assign_least(v)
     return pc
 
 
@@ -508,20 +526,15 @@ def order_by_distance_from_edge(
     vertices when omitted), which must be connected and contain the edge.
     Ties break by ascending vertex index.
     """
-    allowed = set(range(g.n)) if within is None else set(within)
-    if u not in allowed or v not in allowed:
+    inside = (1 << g.n) - 1 if within is None else sum(1 << w for w in set(within))
+    if not (inside >> u & 1 and inside >> v & 1):
         raise ValueError("u and v must lie in the subgraph")
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
-    dist = {}
-    inside = sum(1 << w for w in allowed)
-    for d, layer in enumerate(bfs_layers(g, 1 << u | 1 << v, inside)):
-        for w in _iter_bits(layer):
-            dist[w] = d
-    if len(dist) != len(allowed):
+    layers = list(bfs_layers(g, 1 << u | 1 << v, inside))
+    if sum(layers) != inside:
         raise ValueError("subgraph is not connected")
-    rest = sorted((w for w in allowed if w not in (u, v)), key=lambda w: (-dist[w], w))
-    return rest + [u, v]
+    return [w for layer in reversed(layers[1:]) for w in _iter_bits(layer)] + [u, v]
 
 
 def complete_partial_coloring(
@@ -530,10 +543,10 @@ def complete_partial_coloring(
     """Finish a partial coloring greedily along ``order``.
 
     ``order`` must list exactly the uncolored vertices with u, v as its last
-    two entries, and u, v must be adjacent in the target. If v ends up
-    blocked, u is recolored with each alternative and v retried once per
-    alternative; anything deeper is left to the exact solver. Precondition
-    violations raise ValueError, search dead-ends return CompletionFailure.
+    two entries, and u, v must be adjacent in the target. u takes each of
+    its available colors in turn, least first, until v has a color left;
+    anything deeper is left to the exact solver. Precondition violations
+    raise ValueError, search dead-ends return CompletionFailure.
     """
     order = list(order)
     if pc.is_colored(u) or pc.is_colored(v):
@@ -542,29 +555,18 @@ def complete_partial_coloring(
         raise ValueError("u and v must be adjacent in the target graph")
     if order[-2:] != [u, v]:
         raise ValueError("order must end with u, v")
-    if sorted(order) != sorted(pc.uncolored_vertices()):
+    if sorted(order) != pc.uncolored_vertices():
         raise ValueError("order must cover exactly the uncolored vertices")
 
     for w in order[:-2]:
-        avail = pc.available(w)
-        if not avail:
+        if not pc._assign_least(w):
             return CompletionFailure(w, "order", pc.state_digest())
-        pc.assign(w, min(avail))
-
-    avail_u = pc.available(u)
-    if not avail_u:
+    colors_u = pc._free(u)
+    if not colors_u:
         return CompletionFailure(u, "u", pc.state_digest())
-    pc.assign(u, min(avail_u))
-    if pc.available(v):
-        pc.assign(v, min(pc.available(v)))
-        return pc.to_coloring()
-    # single-level repair: some other color at u may unblock v
-    first = pc.assignment[u]
-    pc.unassign(u)
-    for alt in sorted(c for c in pc.available(u) if c != first):
-        pc.assign(u, alt)
-        if pc.available(v):
-            pc.assign(v, min(pc.available(v)))
+    for c in _iter_bits(colors_u):
+        pc.assign(u, c)
+        if pc._assign_least(v):
             return pc.to_coloring()
         pc.unassign(u)
     return CompletionFailure(v, "v", pc.state_digest())
@@ -645,12 +647,6 @@ class StrategyOutcome:
         return fields
 
 
-def _finish(pc: PartialColoring, order: list[int], u: int, v: int):
-    uncolored = set(pc.uncolored_vertices())
-    filtered = [w for w in order if w in uncolored]
-    return complete_partial_coloring(pc, filtered, u, v)
-
-
 def save_color_strategy(
     g: Graph,
     gamma: int,
@@ -660,9 +656,12 @@ def save_color_strategy(
 ) -> StrategyOutcome:
     """Try to color the gamma-th power with M-1 colors, one below the
     largest possible power-graph degree, using the first of the
-    save_color_hypotheses that holds. Falls back to the exact solver
-    (flagged) when the constructive run fails, so callers never depend on
-    its completeness.
+    save_color_hypotheses that holds. Each attempt takes the next seed of
+    ``_seeds``, precolors, and completes along the distance order from the
+    seed edge; the first coloring ends the search. Otherwise the failure
+    is the last completion's, or "seed-search-exhausted" when no seed got
+    that far. Falls back to the exact solver (flagged) when the
+    constructive run fails, so callers never depend on its completeness.
     """
     hyp = save_color_hypotheses(g, gamma)
     delta = hyp.max_degree
@@ -684,23 +683,26 @@ def save_color_strategy(
         )
 
     pg = power_graph(g, gamma)
-    if applied == "high-girth":
-        result, seeds, attempts = _high_girth_strategy(g, pg, palette)
-    else:
-        if applied == "non-regular":
-            v = min(w for w in range(g.n) if g.degree(w) == hyp.min_degree)
-            u = min(g.neighbors(v))
-            seeds = {"u": u, "v": v, "precolored": {}}
-        else:
-            cycle = shortest_cycle(g)
-            pairs = [tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))
-                     for i in range(len(cycle))]
-            u, v = min(pairs)
-            seeds = {"u": u, "v": v, "precolored": {}, "cycle": cycle}
-        order = order_by_distance_from_edge(g, u, v)
-        result = _finish(PartialColoring(pg, palette), order, u, v)
-        attempts = 1
-
+    result: Coloring | CompletionFailure = CompletionFailure(
+        -1, "order", "seed-search-exhausted")
+    seeds, attempts = None, 0
+    for attempts, candidate in enumerate(_seeds(g, pg, applied), 1):
+        if candidate is None:
+            continue
+        seed, removed = candidate
+        u, v = seed["u"], seed["v"]
+        pc = PartialColoring(pg, palette)
+        try:
+            for w, c in sorted(seed["precolored"].items()):
+                pc.assign(w, c)
+            order = order_by_distance_from_edge(g, u, v, set(range(g.n)) - removed)
+        except ValueError:
+            continue
+        seeds = seed
+        result = complete_partial_coloring(
+            pc, [w for w in order if not pc.is_colored(w)], u, v)
+        if isinstance(result, Coloring):
+            break
     coloring = result if isinstance(result, Coloring) else None
     failure = result if isinstance(result, CompletionFailure) else None
     used_fallback = False
@@ -719,80 +721,50 @@ def save_color_strategy(
     )
 
 
-def _high_girth_strategy(g: Graph, pg: PowerGraph, palette: int):
-    """Seed search along a shortest cycle, first success in lexicographic
-    rotation/orientation order. Distances up to gamma are read off the
-    power graph: distance > gamma means distinct and not adjacent in it."""
-    gamma = pg.gamma
+def _seeds(
+    g: Graph, pg: PowerGraph, applied: str
+) -> Iterator[tuple[dict, set[int]] | None]:
+    """The seeds of a strategy, one per attempt: the seeds record and the
+    vertices to leave out of the distance order, or None for an attempt
+    that found no seed. Non-regular takes the least vertex v of minimum
+    degree and its least neighbor u; short girth the least edge of a
+    shortest cycle. High girth tries each rotation and orientation of a
+    shortest cycle, v1 = at(0) and v2 = at(1), in lexicographic order, and
+    precolors vertices near v1 so that v1 sees a repeated color. Distances
+    up to gamma are read off the power graph: distance > gamma means
+    distinct and not adjacent in it."""
+    if applied == "non-regular":
+        v = min(range(g.n), key=g.degree)
+        yield {"u": min(g.neighbors(v)), "v": v, "precolored": {}}, set()
+        return
     cycle = shortest_cycle(g)
-    near = pg.graph.bits
-    glen = len(cycle)
-    all_vertices = set(range(g.n))
-    attempts = 0
-    last_failure: CompletionFailure | None = None
-    seeds: dict | None = None
+    if applied == "short-girth":
+        u, v = min(tuple(sorted((cycle[i], cycle[i - 1]))) for i in range(len(cycle)))
+        yield {"u": u, "v": v, "precolored": {}, "cycle": cycle}, set()
+        return
+    gamma, near, glen = pg.gamma, pg.graph.bits, len(cycle)
+    on_cycle = sum(1 << w for w in cycle)
+    for start, sign in product(range(glen), (1, -1)):
+        def at(off: int) -> int:
+            return cycle[(start + sign * off) % glen]
 
-    for start in range(glen):
-        for sign in (1, -1):
-            def at(off: int) -> int:
-                return cycle[(start + sign * off) % glen]
-
-            v1, v2 = at(0), at(1)
-            attempts += 1
-            if gamma >= 3:
-                x1, y1, y2 = at(gamma), at(-1), at(-2)
-                removed = {y1, y2}
-                cands = _off_cycle_paths(g, v1, set(cycle), gamma - 1)
-                cands = [x2 for x2 in cands if not near[y2] >> x2 & 1]
-                if not cands:
-                    continue
-                x2 = min(cands)
-                precolored = {x1: 0, y1: 0, x2: 1, y2: 1}
-            else:
-                x1, x2 = at(2), at(-1)
-                x3 = None
-                for w in sorted(set(g.neighbors(v1)) - set(cycle)):
-                    for cand in sorted(set(g.neighbors(w)) - set(cycle) - {v1}):
-                        if not near[cand] & (1 << x1 | 1 << x2):
-                            x3 = cand
-                            break
-                    if x3 is not None:
-                        break
-                if x3 is None:
-                    continue
-                removed = {x1, x2, x3}
-                precolored = {x1: 0, x2: 0, x3: 0}
-
-            pc = PartialColoring(pg, palette)
-            try:
-                for w, c in sorted(precolored.items()):
-                    pc.assign(w, c)
-                order = order_by_distance_from_edge(
-                    g, v2, v1, within=all_vertices - removed
-                )
-            except ValueError:
-                continue
-            result = _finish(pc, order, v2, v1)
-            seeds = {
-                "u": v2,
-                "v": v1,
-                "precolored": precolored,
-                "cycle": cycle,
-            }
-            if isinstance(result, Coloring):
-                return result, seeds, attempts
-            last_failure = result
-    return (
-        last_failure
-        if last_failure is not None
-        else CompletionFailure(-1, "order", "seed-search-exhausted"),
-        seeds,
-        attempts,
-    )
-
-
-def _off_cycle_paths(g: Graph, v1: int, cycle: set[int], depth: int) -> list[int]:
-    """Vertices reachable from v1 in exactly ``depth`` steps avoiding the
-    cycle (except v1 itself)."""
-    layers = bfs_layers(g, 1 << v1, ~sum(1 << w for w in cycle - {v1}))
-    return list(_iter_bits(next(islice(layers, depth, None), 0)))
+        v1, v2 = at(0), at(1)
+        precolored = removed = None
+        if gamma >= 3:
+            # x2: off the cycle, gamma - 1 steps from v1, beyond gamma from y2
+            x1, y1, y2 = at(gamma), at(-1), at(-2)
+            layers = bfs_layers(g, 1 << v1, ~on_cycle | 1 << v1)
+            reach = next(islice(layers, gamma - 1, None), 0) & ~near[y2]
+            if reach:
+                x2 = (reach & -reach).bit_length() - 1
+                precolored, removed = {x1: 0, y1: 0, x2: 1, y2: 1}, {y1, y2}
+        else:
+            # x3: off the cycle, two steps from v1, beyond 2 from x1 and x2
+            x1, x2 = at(2), at(-1)
+            x3 = next((x for w in _iter_bits(g.bits[v1] & ~on_cycle)
+                       for x in _iter_bits(g.bits[w] & ~on_cycle)
+                       if not near[x] & (1 << x1 | 1 << x2)), None)
+            if x3 is not None:
+                precolored, removed = {x1: 0, x2: 0, x3: 0}, {x1, x2, x3}
+        yield None if precolored is None else (
+            {"u": v2, "v": v1, "precolored": precolored, "cycle": cycle}, removed)

@@ -15,6 +15,7 @@ from itertools import islice
 from .graphs import Graph, _iter_bits, bfs_layers, is_connected, per_graph
 
 INFINITE = math.inf
+CLIQUE_CAP = 200  # clique_number refuses larger graphs
 
 
 class CliqueCapError(ValueError):
@@ -53,10 +54,6 @@ class PowerGraph:
 
     gamma: int
     graph: Graph
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
 
 @per_graph
@@ -272,10 +269,10 @@ def _expand(bits: tuple[int, ...], R: list[int], P: int, best: list) -> None:
         P &= ~(1 << v)
 
 
-def clique_number(g: Graph, cap: int = 200) -> int:
-    """The clique number; raises CliqueCapError above ``cap`` vertices."""
-    if g.n > cap:
-        raise CliqueCapError(f"clique search capped at n={cap}, got {g.n}")
+def clique_number(g: Graph) -> int:
+    """The clique number; raises CliqueCapError above CLIQUE_CAP vertices."""
+    if g.n > CLIQUE_CAP:
+        raise CliqueCapError(f"clique search capped at n={CLIQUE_CAP}, got {g.n}")
     return max_clique(g)[0]
 
 

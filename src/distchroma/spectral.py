@@ -30,6 +30,10 @@ MATRIX_CAP = 2048
 # thread-free path.
 LAPACK_START_MAX_N = 25
 
+# The power iteration's stopping residual and its iteration cap.
+RADIUS_TOLERANCE = 1e-10
+RADIUS_MAX_ITERATIONS = 10**6
+
 
 class SpectralConvergenceError(RuntimeError):
     """Power iteration hit its iteration cap before meeting tolerance."""
@@ -65,20 +69,17 @@ class SpectralResult:
 
 
 @per_graph
-def spectral_radius(
-    g: Graph, tolerance: float = 1e-10, max_iterations: int = 10**6
-) -> SpectralResult:
+def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue of a connected graph.
 
     Power iteration on B = A + I with a Rayleigh-quotient readout; converged
     when the infinity-norm residual ||B x - theta x|| drops below
-    ``tolerance`` for the unit-infinity-norm iterate x. For n <= 25 it starts
+    RADIUS_TOLERANCE for the unit-infinity-norm iterate x, within
+    RADIUS_MAX_ITERATIONS steps. For n <= 25 it starts
     from |v|, v the top eigenvector of B from LAPACK (``eigh``), and stops
     after one step with a residual below 2e-14; for larger n it starts from
     the all-ones vector (see ``LAPACK_START_MAX_N``).
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if not is_connected(g):
@@ -88,16 +89,17 @@ def spectral_radius(
         return SpectralResult(0.0, 0, 0.0, (1.0,))
     b = adjacency_matrix(g) + np.eye(n)
     x = np.abs(np.linalg.eigh(b)[1][:, -1]) if n <= LAPACK_START_MAX_N else np.ones(n)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, RADIUS_MAX_ITERATIONS + 1):
         y = b @ x
         theta = float(x @ y) / float(x @ x)
         residual = float(np.max(np.abs(y - theta * x))) / float(np.max(np.abs(x)))
-        if residual <= tolerance:
+        if residual <= RADIUS_TOLERANCE:
             x = x / np.max(np.abs(x))
             return SpectralResult(theta - 1.0, it, residual, tuple(x))
         x = y / np.max(np.abs(y))
     raise SpectralConvergenceError(
-        f"no convergence to {tolerance} within {max_iterations} iterations"
+        f"no convergence to {RADIUS_TOLERANCE} "
+        f"within {RADIUS_MAX_ITERATIONS} iterations"
     )
 
 

@@ -211,8 +211,11 @@ def test_clique_lemma_rejects_moore(petersen_graph):
         check_clique_exclusion(petersen_graph, 2)
 
 
-def test_clique_lemma_cap():
-    rep = check_clique_exclusion(complete_bipartite(3, 3), 2, clique_cap=3)
+def test_clique_lemma_cap(monkeypatch):
+    from distchroma import metrics
+
+    monkeypatch.setattr(metrics, "CLIQUE_CAP", 3)
+    rep = check_clique_exclusion(complete_bipartite(3, 3), 2)
     assert rep.status == "cap-exceeded"
     assert rep.clique_number is None
 

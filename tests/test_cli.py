@@ -577,6 +577,9 @@ def test_scan_resume_cuts_a_torn_record(tmp_path, capsys, corpus_lines):
     ["spectral", "--input", "petersen", "--cap", "10"],
     ["spectral", "--input", "petersen", "--timeout", "1"],
     ["spectral", "--input", "petersen", "--tolerance", "1e-10"],
+    ["formulas", "--gamma", "2"],
+    ["formulas", "--path", "5", "--cycle", "7"],
+    ["color", "--input", "petersen", "--exact", "--palette", "3"],
 ])
 def test_usage_error_exits_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:

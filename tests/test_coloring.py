@@ -287,9 +287,8 @@ except AssertionError as err:
 """
 
 
-def test_improper_tabucol_coloring_raises():
-    """A wrong upper bound from the local search cannot become chi: the
-    witness check raises, with and without ``python -O``."""
+def _planted_fault_output(script: str) -> list[str]:
+    """What ``script`` prints, run without and with ``python -O``."""
     import os
     import subprocess
     import sys
@@ -298,11 +297,17 @@ def test_improper_tabucol_coloring_raises():
     import distchroma
 
     src = str(Path(distchroma.__file__).resolve().parents[1])
-    for flags in ((), ("-O",)):
-        proc = subprocess.run([sys.executable, *flags, "-c", _IMPROPER_TABUCOL],
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.strip() == "the 7-coloring found is not proper", flags
+    return [subprocess.run([sys.executable, *flags, "-c", script],
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+            for flags in ((), ("-O",))]
+
+
+def test_improper_tabucol_coloring_raises():
+    """A wrong upper bound from the local search cannot become chi: the
+    witness check raises, with and without ``python -O``."""
+    assert _planted_fault_output(_IMPROPER_TABUCOL) == [
+        "the 7-coloring found is not proper"] * 2
 
 
 def test_solver_minimality_against_oracle(corpus_lines):
@@ -395,7 +400,10 @@ def test_partial_coloring_bookkeeping_matches_recompute(data):
             avail = sorted(pc.available(v))
             if avail:
                 pc.assign(v, data.draw(st.sampled_from(avail), label="color"))
-    # recompute both tracked quantities from scratch via the public state
+    # recompute every derived quantity from scratch via the public state
+    expected_uncolored = [v for v in range(n) if pc.assignment[v] is None]
+    assert pc.uncolored_vertices() == expected_uncolored
+    assert pc.is_complete() == (not expected_uncolored)
     for v in range(n):
         neighbor_colors = {
             pc.assignment[u]
@@ -407,7 +415,8 @@ def test_partial_coloring_bookkeeping_matches_recompute(data):
             1 for u in range(n) if g.has_edge(u, v) and pc.assignment[u] is None
         )
         assert pc.available(v) == expected_avail
-        assert pc.uncolored_neighbors[v] == expected_unc
+        assert pc.uncolored_neighbors(v) == expected_unc
+        assert pc.excess(v) == 1 + len(expected_avail) - expected_unc
 
 
 # ---------------------------------------------------------------------------
@@ -615,24 +624,52 @@ def test_strategy_on_larger_cubic_graph_with_triangle():
     assert out.coloring.proper_on(power_graph(g, 2).graph)
 
 
-def test_high_girth_gamma2_mechanics_on_mcgee():
+def test_high_girth_gamma2_mechanics_on_mcgee(monkeypatch):
     """No graph with connectivity >= 4 and girth > 6 exists at test scale
-    (the smallest is far larger), so the gamma=2 seeding is exercised
-    directly on the McGee graph: girth 7 gives the same seed geometry, and
-    its pair-deleted subgraph happens to stay connected."""
-    from distchroma import lcf_graph
-    from distchroma.coloring import _high_girth_strategy
+    (the smallest is far larger), so the gamma=2 seeding is exercised on
+    the McGee graph with the high-girth hypothesis forced on: girth 7 gives
+    the same seed geometry, and its pair-deleted subgraph happens to stay
+    connected."""
+    from dataclasses import replace
 
+    from distchroma import coloring, lcf_graph
+
+    real = coloring.save_color_hypotheses
+    monkeypatch.setattr(coloring, "save_color_hypotheses", lambda g, gamma: replace(
+        real(g, gamma), high_girth_connected=True))
     g = lcf_graph(24, (12, 7, -7), 8)  # cubic, girth 7
     assert girth(g) == 7
     pg = power_graph(g, 2)
     palette = max_power_degree(3, 2) - 1
-    result, seeds, attempts = _high_girth_strategy(g, pg, palette)
+    out = save_color_strategy(g, 2, exact_fallback=False)
+    assert out.applied == "high-girth" and not out.used_exact_fallback
+    result, seeds = out.coloring, out.seeds
     assert isinstance(result, Coloring)
     assert result.proper_on(pg.graph)
     assert result.k <= palette
     assert len(seeds["precolored"]) == 3  # three seeds sharing one color
     assert set(seeds["precolored"].values()) == {0}
+
+
+_IMPROPER_COMPLETION = """
+from distchroma import coloring, complete_graph
+
+def improper(pc, order, u, v):
+    return coloring.Coloring((0,) * pc.target.graph.n, 1)
+
+coloring.complete_partial_coloring = improper
+try:
+    coloring.save_color_strategy(complete_graph(4), 2)
+except AssertionError as err:
+    print(err)
+"""
+
+
+def test_improper_completion_raises():
+    """A wrong coloring from the construction cannot be reported: the
+    strategy's check raises, with and without ``python -O``."""
+    assert _planted_fault_output(_IMPROPER_COMPLETION) == [
+        "short-girth: 1 colors, not a proper coloring within 8"] * 2
 
 
 def test_strategy_gating_mcgee_not_applicable():

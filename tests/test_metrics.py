@@ -205,9 +205,12 @@ def test_clique_examples(petersen_graph):
     assert clique_number(power_graph(cycle_graph(8), 2).graph) == 3
 
 
-def test_clique_cap():
+def test_clique_cap(monkeypatch):
+    from distchroma import metrics
+
+    monkeypatch.setattr(metrics, "CLIQUE_CAP", 5)
     with pytest.raises(CliqueCapError):
-        clique_number(complete_graph(10), cap=5)
+        clique_number(complete_graph(10))
 
 
 @given(graphs(max_n=9))

@@ -169,13 +169,15 @@ def test_perron_vector_encloses_lambda1(corpus_lines):
             assert hi - lo <= 2 * res.residual / min(res.perron_vector) + 1e-12
 
 
-def test_radius_iteration_cap_is_reported():
-    from distchroma import SpectralConvergenceError
+def test_radius_iteration_cap_is_reported(monkeypatch):
+    from distchroma import SpectralConvergenceError, spectral
 
     g = star_graph(30)  # above the LAPACK start cut: the iteration runs
     assert spectral_radius(g).lambda1 == pytest.approx(29 ** 0.5)
-    with pytest.raises(SpectralConvergenceError):  # not answered from the memo
-        spectral_radius(g, tolerance=1e-15, max_iterations=2)
+    monkeypatch.setattr(spectral, "RADIUS_TOLERANCE", 1e-15)
+    monkeypatch.setattr(spectral, "RADIUS_MAX_ITERATIONS", 2)
+    with pytest.raises(SpectralConvergenceError):  # a new graph: not in the memo
+        spectral_radius(star_graph(30))
 
 
 def test_single_vertex_radius():

@@ -10,6 +10,9 @@ Two checkouts that print the same lines write the same bytes for:
 - the ``color`` strategy JSON of petersen, hoffman-singleton,
   tutte-coxeter (read from a graph6 file), torus:5,7 and hex:8,8 at
   gamma = 2 and 3;
+- the ``color --palette`` JSON of the five named graphs at gamma = 2
+  and 3, header excluded: the greedy coloring with 2 colors, which leaves
+  some vertices uncolored, and with n colors, which colors every vertex;
 - the ``color --exact`` JSON, chi with its witness coloring, of torus:5,7,
   torus:6,7 and tutte-coxeter at gamma = 2 and 3, header excluded. Each
   of these solves has a DSATUR count above the clique number, so its
@@ -38,7 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from distchroma import cli, encode_graph6, tutte_coxeter  # noqa: E402
+from distchroma import (  # noqa: E402
+    cli, encode_graph6, graph_from_spec, tutte_coxeter)
 
 CORPUS = ROOT / "tests" / "data" / "connected_le8.g6"
 NAMED = ("petersen", "hoffman-singleton", "tutte-coxeter", "torus:5,7", "hex:8,8")
@@ -78,6 +82,18 @@ def main(argv: list[str] | None = None) -> int:
                 strategy = json.loads(out.read_text())["strategy"]
                 text = json.dumps(strategy, sort_keys=True).encode()
                 print(f"color {name} gamma={gamma} exit={code} {_digest(text)}")
+        for name in NAMED:
+            spec = str(tutte) if name == "tutte-coxeter" else name
+            for gamma in (2, 3):
+                for palette in (2, graph_from_spec(spec).n):
+                    out = Path(tmp, "palette.json")
+                    code = cli.main(["color", "--input", spec, "--gamma", str(gamma),
+                                     "--palette", str(palette), "--output", str(out)])
+                    payload = json.loads(out.read_text())
+                    del payload["header"]
+                    text = json.dumps(payload, sort_keys=True).encode()
+                    print(f"color --palette {palette} {name} gamma={gamma} "
+                          f"exit={code} {_digest(text)}")
         for name in EXACT:
             spec = str(tutte) if name == "tutte-coxeter" else name
             for gamma in (2, 3):
