@@ -4,8 +4,8 @@ Exit codes: 0 success (skipped items allowed unless --strict), 1 operational
 or usage error, 2 soundness violation (an exact value beat a bound that
 applied).
 Outputs are deterministic for a fixed config: sorted JSON keys, stable
-tie-breaking everywhere, timestamps only on stderr. Every report is written
-by one encoder, json_value, as strict JSON.
+tie-breaking everywhere, timestamps only on stderr. json_value encodes every
+report as strict JSON; _emit writes every one-document report with its header.
 """
 
 from __future__ import annotations
@@ -58,72 +58,53 @@ def _header(args: argparse.Namespace) -> dict:
     return {"tool": "distchroma", "version": __version__, "config": config}
 
 
-def _payload(args: argparse.Namespace) -> dict:
-    return {"header": _header(args)}
-
-
-def _emit(payload: dict, output: str | None) -> None:
-    text = _dumps(payload, indent=2)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, body: dict) -> int:
+    """Write the header and then the body fields to --output or stdout."""
+    text = _dumps({"header": _header(args), **body}, indent=2)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
     g = graph_from_spec(args.input)
-    payload = _payload(args)
-    payload["graph6"] = encode_graph6(g)
-    payload["invariants"] = met.invariants(g)
-    _emit(payload, args.output)
-    return EXIT_OK
+    return _emit(args, {"graph6": encode_graph6(g), "invariants": met.invariants(g)})
 
 
 def cmd_power(args) -> int:
     g = graph_from_spec(args.input)
-    pg = met.power_graph(g, args.gamma)
-    payload = _payload(args)
-    payload["graph6"] = encode_graph6(g)
-    payload["power_graph6"] = encode_graph6(pg.graph)
-    payload["power_degrees"] = pg.graph.degrees()
-    _emit(payload, args.output)
-    return EXIT_OK
+    power = met.power_graph(g, args.gamma).graph
+    return _emit(args, {"graph6": encode_graph6(g), "power_graph6": encode_graph6(power),
+                        "power_degrees": power.degrees()})
 
 
 def cmd_color(args) -> int:
     g = graph_from_spec(args.input)
-    payload = _payload(args)
-    payload["graph6"] = encode_graph6(g)
     if args.exact:
         chi, witness = col.distance_chromatic_number(
             g, args.gamma, cap=args.cap, time_budget=args.timeout)
-        payload["chi"] = chi
-        payload["witness"] = witness
         print(f"chi_{args.gamma} = {chi}", file=sys.stderr)
+        body = {"chi": chi, "witness": witness}
     elif args.palette is not None:
-        pg = met.power_graph(g, args.gamma)
-        pc = col.greedy_coloring(pg, list(range(g.n)), args.palette)
-        payload["palette"] = args.palette
-        payload["uncolored"] = pc.uncolored_vertices()
-        payload["assignment"] = pc.assignment
+        pc = col.greedy_coloring(met.power_graph(g, args.gamma), range(g.n), args.palette)
+        body = {"palette": args.palette, "uncolored": pc.uncolored_vertices(),
+                "assignment": pc.assignment}
     else:
         outcome = col.save_color_strategy(g, args.gamma, cap=args.cap)
-        payload["strategy"] = outcome.to_json_dict()
-    _emit(payload, args.output)
-    return EXIT_OK
+        body = {"strategy": outcome.to_json_dict()}
+    return _emit(args, {"graph6": encode_graph6(g), **body})
 
 
 def cmd_spectral(args) -> int:
     g = graph_from_spec(args.input)
-    payload = _payload(args)
-    payload["graph6"] = encode_graph6(g)
-    payload["spectral"] = spec.spectral_radius(g)
+    body = {"graph6": encode_graph6(g), "spectral": spec.spectral_radius(g)}
     if args.gamma >= 2:
-        payload["matrix_inequalities"] = spec.power_matrix_inequalities(g, args.gamma)
-        payload["power_bounds"] = spec.spectral_power_bounds(g, args.gamma)
-    _emit(payload, args.output)
-    return EXIT_OK
+        body["matrix_inequalities"] = spec.power_matrix_inequalities(g, args.gamma)
+        body["power_bounds"] = spec.spectral_power_bounds(g, args.gamma)
+    return _emit(args, body)
 
 
 CSV_COLUMNS = ("id", "n", "delta", "gamma", "M", "best_bound", "exact_chi",
@@ -156,24 +137,18 @@ def cmd_bounds(args) -> int:
         if len(lines) > 1:
             raise ValueError(f"--format json writes one report, and {args.input} "
                              f"holds {len(lines)} graphs: use --format jsonl")
-        payload = _payload(args)
-        payload["report"] = bnd.evaluate_bounds(
+        return _emit(args, {"report": bnd.evaluate_bounds(
             parse_graph6(lines[0]), args.gamma, exact_cap=args.cap,
-            time_budget=args.timeout)
-        _emit(payload, args.output)
-        return EXIT_OK
+            time_budget=args.timeout)})
 
     rows = bnd.map_lines(_eval_one, lines, args.gamma, args.cap, args.timeout,
                          args.format, jobs=args.jobs)
     first = next(rows)  # an error on the first graph leaves no output file
+    head = (f"# distchroma {__version__} gamma={args.gamma}\n{_csv_line(*CSV_COLUMNS)}"
+            if args.format == "csv" else _dumps({"header": _header(args)}))
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        if args.format == "csv":
-            out.write(f"# distchroma {__version__} gamma={args.gamma}\n"
-                      + _csv_line(*CSV_COLUMNS) + "\n")
-        else:
-            out.write(_dumps({"header": _header(args)}) + "\n")
-        for row in itertools.chain([first], rows):
+        for row in itertools.chain([head, first], rows):
             out.write(row + "\n")
     finally:
         if args.output:
@@ -182,19 +157,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    payload = _payload(args)
     if args.path is not None:
-        value = col.path_distance_chromatic(args.path, args.gamma)
-        payload["family"] = "path"
-        payload["n"] = args.path
+        family, n, formula = "path", args.path, col.path_distance_chromatic
     else:
-        value = col.cycle_distance_chromatic(args.cycle, args.gamma)
-        payload["family"] = "cycle"
-        payload["n"] = args.cycle
-    payload["gamma"] = args.gamma
-    payload["chi"] = value
-    _emit(payload, args.output)
-    print(value)
+        family, n, formula = "cycle", args.cycle, col.cycle_distance_chromatic
+    chi = formula(n, args.gamma)
+    _emit(args, {"family": family, "n": n, "gamma": args.gamma, "chi": chi})
+    print(chi)
     return EXIT_OK
 
 
@@ -234,12 +203,14 @@ def cmd_scan(args) -> int:
 
     try:
         if not finished:
+            rows = bnd.map_lines(bnd.scan_one, lines[len(records):], args.gamma,
+                                 args.cap, jobs=args.jobs)
+            first = list(itertools.islice(rows, 1))  # a first-graph error writes nothing
             out_fh = (open(args.output, "a" if resumed else "w", encoding="utf-8")
                       if args.output else sys.stdout)
             if resumed is None:
                 write({"header": _header(args)})
-            for rec in bnd.map_lines(bnd.scan_one, lines[len(records):], args.gamma,
-                                     args.cap, jobs=args.jobs):
+            for rec in itertools.chain(first, rows):
                 write(rec)
                 records.append(rec)
         report = bnd.fold_scan(records, args.gamma)
@@ -331,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except bnd.SoundnessViolation as err:

@@ -229,7 +229,8 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode canonically: short length form for n <= 62, zero padding."""
+    """Encode canonically: short length form for n <= 62, zero padding. Like
+    parse_graph6, the payload is one bit string, column v after column v - 1."""
     n = g.n
     if n <= 62:
         head = [n + 63]
@@ -237,21 +238,12 @@ def encode_graph6(g: Graph) -> str:
         head = [126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
     else:
         head = [126, 126] + [63 + (n >> s & 63) for s in (30, 24, 18, 12, 6, 0)]
-    out = bytearray(head)
-    group = 0
-    nbits = 0
-    for v in range(1, n):
-        col = g.bits[v]
-        for u in range(v):
-            group = (group << 1) | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + group)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(63 + (group << (6 - nbits)))
-    return out.decode("ascii")
+    # Column v is the v low bits of g.bits[v], lowest first; the bit 1 << v
+    # keeps bin() from dropping the column's leading zeros.
+    bits = "".join([bin(g.bits[v] & ((1 << v) - 1) | 1 << v)[:2:-1] for v in range(1, n)])
+    bits += "0" * (-len(bits) % 6)
+    payload = [63 + int(bits[i:i + 6], 2) for i in range(0, len(bits), 6)]
+    return bytes(head + payload).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

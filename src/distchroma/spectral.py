@@ -134,7 +134,7 @@ class MatrixInequalityReport:
 def power_matrix_inequalities(g: Graph, gamma: int) -> MatrixInequalityReport:
     """Check, in integer arithmetic: the walk-series bound on A(G^gamma),
     and the refined degree-corrected bound, whose equality is compared with
-    the girth predicate (girth >= 5 for gamma 2, girth >= 2*gamma+1 above).
+    the girth predicate girth >= 2*gamma + 1.
 
     The series sums the walk powers A^k clipped at 1: the left side is 0/1,
     so comparing with the clipped series is exact, while raw walk counts
@@ -152,7 +152,7 @@ def power_matrix_inequalities(g: Graph, gamma: int) -> MatrixInequalityReport:
     d = degree_matrix(g)
     eye = np.eye(g.n, dtype=np.int64)
     lap = d - a
-    a_pow = {1: a}
+    a_pow = {0: np.zeros_like(a), 1: a}
     walk = series = a
     for k in range(2, gamma + 1):
         a_pow[k] = adjacency_matrix(power_graph(g, k).graph)
@@ -160,18 +160,15 @@ def power_matrix_inequalities(g: Graph, gamma: int) -> MatrixInequalityReport:
         series = series + walk
     series_ok = bool((a_pow[gamma] <= series).all())
     gir = girth(g)
-    if gamma == 2:
-        threshold = 5
-        rhs = a @ a - lap
-        holds = bool((a_pow[2] <= rhs).all())
-        eq_left = eq_right = bool((a_pow[2] == rhs).all())
-    else:
-        threshold = 2 * gamma + 1
-        left = a_pow[gamma - 1] @ a - a @ (d - eye) - lap
-        right = a @ a_pow[gamma - 1] - (d - eye) @ a - lap
-        holds = bool((a_pow[gamma] <= left).all() and (a_pow[gamma] <= right).all())
-        eq_left = bool((a_pow[gamma] == left).all())
-        eq_right = bool((a_pow[gamma] == right).all())
+    threshold = 2 * gamma + 1
+    # The recurrence subtracts A(G^(gamma-2))(D - I), zero at gamma = 2; from
+    # gamma = 4 on, the encoded form keeps A(D - I), the gamma = 3 term.
+    back = a_pow[min(gamma - 2, 1)]
+    left = a_pow[gamma - 1] @ a - back @ (d - eye) - lap
+    right = a @ a_pow[gamma - 1] - (d - eye) @ back - lap
+    holds = bool((a_pow[gamma] <= left).all() and (a_pow[gamma] <= right).all())
+    eq_left = bool((a_pow[gamma] == left).all())
+    eq_right = bool((a_pow[gamma] == right).all())
     predicate = gir >= threshold
     equality = eq_left and eq_right
     return MatrixInequalityReport(

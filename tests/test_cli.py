@@ -270,6 +270,18 @@ def test_bounds_corpus_error_is_not_out_of_scope(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_scan_error_on_the_first_graph_writes_nothing(tmp_path, capsys):
+    """Like corpus bounds, scan computes its first record before it writes
+    the header: at gamma 1 the first graph fails, and no output is left."""
+    out = tmp_path / "s.jsonl"
+    for output in (["--output", str(out)], []):
+        code = main(["scan", "--input", "petersen", "--gamma", "1", *output])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert "error:" in captured.err
+    assert not out.exists()
+
+
 def test_soundness_violation_exit_code(monkeypatch, capsys):
     import distchroma.bounds as bnd
     import distchroma.cli as cli
@@ -444,6 +456,36 @@ def test_every_output_is_strict_json(graph, tmp_path, monkeypatch, capsys):
     outputs.append(capsys.readouterr().err.splitlines()[1])
     for text in outputs:
         _strict_json(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--input", "petersen"],
+    ["power", "--input", "petersen", "--gamma", "3"],
+    ["spectral", "--input", "petersen", "--gamma", "2"],
+    ["formulas", "--cycle", "7", "--gamma", "2"],
+    ["bounds", "--input", "petersen", "--gamma", "2", "--format", "json"],
+    ["color", "--input", "petersen", "--gamma", "2"],
+    ["color", "--input", "petersen", "--gamma", "2", "--exact"],
+    ["color", "--input", "petersen", "--gamma", "2", "--palette", "3"],
+], ids=["invariants", "power", "spectral", "formulas", "bounds-json", "color-strategy",
+        "color-exact", "color-palette"])
+def test_output_file_holds_what_stdout_shows(argv, tmp_path, capsys):
+    """--output takes the report off stdout; only the header's output field
+    tells the file from what stdout showed."""
+    out = tmp_path / "report.json"
+    code, shown = run(capsys, *argv)
+    code_file, rest = run(capsys, *argv, "--output", str(out))
+    assert code == code_file == EXIT_OK
+    assert rest == ("4\n" if argv[0] == "formulas" else "")  # formulas prints chi last
+    assert shown.endswith(rest)
+    report = shown[:len(shown) - len(rest)]
+
+    def without_output(text: str) -> dict:
+        payload = json.loads(text)
+        del payload["header"]["config"]["output"]
+        return payload
+
+    assert without_output(out.read_text()) == without_output(report)
 
 
 def test_one_line_graph6_file_is_a_corpus(tmp_path, capsys):

@@ -3,28 +3,28 @@
 
 Two checkouts that print the same lines write the same bytes for:
 
-- ``scan`` and ``bounds --format jsonl`` over the shipped corpus at
-  gamma = 2 and 3, header line excluded (it records the output path);
-- ``bounds --format csv`` over the shipped corpus at gamma = 2 and 3,
-  the whole file (its comment line holds no path);
-- the ``color`` strategy JSON of petersen, hoffman-singleton,
-  tutte-coxeter (read from a graph6 file), torus:5,7 and hex:8,8 at
-  gamma = 2 and 3;
-- the ``color --palette`` JSON of the five named graphs at gamma = 2
-  and 3, header excluded: the greedy coloring with 2 colors, which leaves
-  some vertices uncolored, and with n colors, which colors every vertex;
-- the ``color --exact`` JSON, chi with its witness coloring, of torus:5,7,
-  torus:6,7 and tutte-coxeter at gamma = 2 and 3, header excluded. Each
-  of these solves has a DSATUR count above the clique number, so its
-  witness pins the exact search and the seeded Tabucol stepped beside it:
-  whichever of the two colors a palette first;
-- the ``invariants`` JSON of the five named graphs, and their
-  ``spectral`` JSON at gamma = 2 and 3, header excluded.
+- ``scan`` and ``bounds --format jsonl|csv`` over the shipped corpus at
+  gamma = 2 and 3 (a jsonl file without its header line, which records
+  the output path; a csv file whole);
+- for petersen, hoffman-singleton, tutte-coxeter (read from a graph6
+  file), torus:5,7 and hex:8,8: ``invariants``, and at gamma = 2 and 3
+  the ``color`` strategy, ``color --palette`` with 2 colors (some vertices
+  stay uncolored) and with n colors (every vertex is colored),
+  ``spectral``, ``power`` and ``bounds --format json``;
+- ``color --exact``, chi with its witness, of torus:5,7, torus:6,7 and
+  tutte-coxeter at gamma = 2 and 3. Each solve has a DSATUR count above
+  the clique number, so its witness pins the exact search and the seeded
+  Tabucol stepped beside it: whichever of the two colors a palette first;
+- ``formulas --path`` at n = 1..8 and ``--cycle`` at n = 3..12, both at
+  gamma = 1..5, one line per family. The cycles reach every case of the
+  closed form: n <= gamma, (gamma + 1) dividing n, and the scan.
 
-``bounds`` reports print lambda1 and every bound value rounded to 12
-significant digits, so eigensolver last-bit noise does not reach them;
-still, lambda1 comes from the machine's LAPACK, so compare digests taken
-on one machine. They are not pinned in the tests.
+A JSON document is digested without its header (it records the output
+path), a color strategy as its ``strategy`` field alone. ``bounds``
+reports print lambda1 and every bound value rounded to 12 significant
+digits, so eigensolver last-bit noise does not reach them; still, lambda1
+comes from the machine's LAPACK, so compare digests taken on one machine.
+They are not pinned in the tests.
 
 Usage: python tools/output_digests.py [--jobs 2]
 """
@@ -32,6 +32,7 @@ Usage: python tools/output_digests.py [--jobs 2]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -49,8 +50,23 @@ NAMED = ("petersen", "hoffman-singleton", "tutte-coxeter", "torus:5,7", "hex:8,8
 EXACT = ("torus:5,7", "torus:6,7", "tutte-coxeter")
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def pin(out: Path, label: str, *runs: list[str], keep: str | None = None) -> None:
+    """Run each argv into ``out``, whose suffix names the format; print the
+    label, the largest exit code and the digest of the outputs in order."""
+    data, codes = b"", []
+    for argv in runs:
+        out.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(sys.stderr):  # formulas prints chi
+            codes.append(cli.main([*argv, "--output", str(out)]))
+        body = out.read_bytes() if out.exists() else b""
+        if out.suffix == ".jsonl":
+            body = body.split(b"\n", 1)[1]
+        elif out.suffix == ".json":
+            payload = json.loads(body)
+            payload.pop("header")
+            body = json.dumps(payload[keep] if keep else payload, sort_keys=True).encode()
+        data += body
+    print(f"{label} exit={max(codes)} {hashlib.sha256(data).hexdigest()}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,62 +76,45 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tutte = Path(tmp, "tutte-coxeter.g6")
         tutte.write_text(encode_graph6(tutte_coxeter()) + "\n")
+        jsonl, csv, doc = (Path(tmp, "out" + s) for s in (".jsonl", ".csv", ".json"))
+
+        def source(name: str) -> str:
+            return str(tutte) if name == "tutte-coxeter" else name
+
         for gamma in (2, 3):
-            for command, extra in (("scan", ()), ("bounds", ("--format", "jsonl"))):
-                out = Path(tmp, f"{command}{gamma}.jsonl")
-                code = cli.main([command, "--input", str(CORPUS), "--gamma", str(gamma),
-                                 "--jobs", str(args.jobs), "--output", str(out), *extra])
-                body = out.read_bytes().split(b"\n", 1)[1]
-                print(f"{command} gamma={gamma} exit={code} {_digest(body)}")
-            out = Path(tmp, f"bounds{gamma}.csv")
-            code = cli.main(["bounds", "--input", str(CORPUS), "--gamma", str(gamma),
-                             "--jobs", str(args.jobs), "--output", str(out),
-                             "--format", "csv"])
-            print(f"bounds --format csv gamma={gamma} exit={code} "
-                  f"{_digest(out.read_bytes())}")
-        for name in NAMED:
-            spec = str(tutte) if name == "tutte-coxeter" else name
-            for gamma in (2, 3):
-                out = Path(tmp, "color.json")
-                code = cli.main(["color", "--input", spec, "--gamma", str(gamma),
-                                 "--output", str(out)])
-                strategy = json.loads(out.read_text())["strategy"]
-                text = json.dumps(strategy, sort_keys=True).encode()
-                print(f"color {name} gamma={gamma} exit={code} {_digest(text)}")
-        for name in NAMED:
-            spec = str(tutte) if name == "tutte-coxeter" else name
-            for gamma in (2, 3):
-                for palette in (2, graph_from_spec(spec).n):
-                    out = Path(tmp, "palette.json")
-                    code = cli.main(["color", "--input", spec, "--gamma", str(gamma),
-                                     "--palette", str(palette), "--output", str(out)])
-                    payload = json.loads(out.read_text())
-                    del payload["header"]
-                    text = json.dumps(payload, sort_keys=True).encode()
-                    print(f"color --palette {palette} {name} gamma={gamma} "
-                          f"exit={code} {_digest(text)}")
+            corpus = ["--input", str(CORPUS), "--gamma", str(gamma),
+                      "--jobs", str(args.jobs)]
+            pin(jsonl, f"scan gamma={gamma}", ["scan", *corpus])
+            pin(jsonl, f"bounds gamma={gamma}", ["bounds", *corpus, "--format", "jsonl"])
+            pin(csv, f"bounds --format csv gamma={gamma}",
+                ["bounds", *corpus, "--format", "csv"])
+        named = [(name, gamma) for name in NAMED for gamma in (2, 3)]
+        for name, gamma in named:
+            pin(doc, f"color {name} gamma={gamma}",
+                ["color", "--input", source(name), "--gamma", str(gamma)],
+                keep="strategy")
+        for name, gamma in named:
+            for palette in (2, graph_from_spec(source(name)).n):
+                pin(doc, f"color --palette {palette} {name} gamma={gamma}",
+                    ["color", "--input", source(name), "--gamma", str(gamma),
+                     "--palette", str(palette)])
         for name in EXACT:
-            spec = str(tutte) if name == "tutte-coxeter" else name
             for gamma in (2, 3):
-                out = Path(tmp, "exact.json")
-                code = cli.main(["color", "--exact", "--input", spec, "--gamma", str(gamma),
-                                 "--output", str(out)])
-                payload = json.loads(out.read_text())
-                del payload["header"]
-                text = json.dumps(payload, sort_keys=True).encode()
-                print(f"color --exact {name} gamma={gamma} exit={code} {_digest(text)}")
+                pin(doc, f"color --exact {name} gamma={gamma}",
+                    ["color", "--exact", "--input", source(name), "--gamma", str(gamma)])
         for name in NAMED:
-            spec = str(tutte) if name == "tutte-coxeter" else name
-            runs = [("invariants", None)] + [("spectral", gamma) for gamma in (2, 3)]
-            for command, gamma in runs:
-                out = Path(tmp, f"{command}.json")
-                flags = () if gamma is None else ("--gamma", str(gamma))
-                code = cli.main([command, "--input", spec, *flags, "--output", str(out)])
-                payload = json.loads(out.read_text())
-                del payload["header"]
-                text = json.dumps(payload, sort_keys=True).encode()
-                at = "" if gamma is None else f" gamma={gamma}"
-                print(f"{command} {name}{at} exit={code} {_digest(text)}")
+            pin(doc, f"invariants {name}", ["invariants", "--input", source(name)])
+            for gamma in (2, 3):
+                pin(doc, f"spectral {name} gamma={gamma}",
+                    ["spectral", "--input", source(name), "--gamma", str(gamma)])
+        for command, extra in (("power", ()), ("bounds", ("--format", "json"))):
+            for name, gamma in named:
+                pin(doc, " ".join([command, *extra, name, f"gamma={gamma}"]),
+                    [command, "--input", source(name), "--gamma", str(gamma), *extra])
+        for family, sizes in (("path", range(1, 9)), ("cycle", range(3, 13))):
+            pin(doc, f"formulas --{family}", *(
+                ["formulas", f"--{family}", str(n), "--gamma", str(gamma)]
+                for n in sizes for gamma in range(1, 6)))
     return 0
 
 
