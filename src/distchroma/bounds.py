@@ -273,6 +273,23 @@ class ScanReport:
     chi_equals_m_candidates: list[ScanCandidate] = field(default_factory=list)
     power_complete_m_candidates: list[ScanCandidate] = field(default_factory=list)
 
+    def add(self, rec: dict) -> None:
+        """Count one scan_one record, listing it when it is a candidate."""
+        if rec["status"] == "out-of-scope":
+            self.out_of_scope += 1
+            return
+        if rec["status"] == "skipped":
+            self.skipped += 1
+            return
+        self.scanned += 1
+        self.moore_count += rec["is_moore"]
+        self.girth_2gamma_count += rec["girth_2gamma"]
+        chi = rec["chi"]
+        if not rec["is_moore"] and chi is not None and chi >= rec["m_value"]:
+            self.chi_equals_m_candidates.append(_candidate("chi-equals-m", rec))
+        if rec["power_complete_m"]:
+            self.power_complete_m_candidates.append(_candidate("power-complete-m", rec))
+
 
 def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> dict:
     """Classify one graph6 line; returns a plain dict so pool workers can
@@ -307,36 +324,17 @@ def _apply(fn, args: tuple, line: str):
 def map_lines(fn, lines: list[str], *args, jobs: int = 1) -> Iterator:
     """``fn(line, *args)`` for every line, yielded in input order as soon as
     each result is ready; over a pool of ``jobs`` worker processes when
-    jobs > 1."""
+    jobs > 1. The workers ignore SIGINT: Ctrl-C reaches this process, and
+    leaving the ``with`` block terminates them."""
     if jobs > 1 and len(lines) > 1:
         import multiprocessing as mp
+        import signal
 
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
             yield from pool.imap(partial(_apply, fn, args), lines, chunksize=64)
     else:
         for ln in lines:
             yield fn(ln, *args)
-
-
-def fold_scan(records: Iterable[dict], gamma: int) -> ScanReport:
-    """Count scan_one records into a ScanReport, listing the candidates."""
-    report = ScanReport(gamma=gamma)
-    for rec in records:
-        if rec["status"] == "out-of-scope":
-            report.out_of_scope += 1
-            continue
-        if rec["status"] == "skipped":
-            report.skipped += 1
-            continue
-        report.scanned += 1
-        report.moore_count += rec["is_moore"]
-        report.girth_2gamma_count += rec["girth_2gamma"]
-        chi = rec["chi"]
-        if not rec["is_moore"] and chi is not None and chi >= rec["m_value"]:
-            report.chi_equals_m_candidates.append(_candidate("chi-equals-m", rec))
-        if rec["power_complete_m"]:
-            report.power_complete_m_candidates.append(_candidate("power-complete-m", rec))
-    return report
 
 
 def _candidate(kind: str, rec: dict) -> ScanCandidate:
@@ -360,7 +358,10 @@ def conjecture_scan(
     if gamma < 2:
         raise ValueError("gamma must be >= 2")
     todo = [ln.strip() for ln in lines if ln.strip()]
-    return fold_scan(map_lines(scan_one, todo, gamma, exact_cap, jobs=jobs), gamma)
+    report = ScanReport(gamma=gamma)
+    for rec in map_lines(scan_one, todo, gamma, exact_cap, jobs=jobs):
+        report.add(rec)
+    return report
 
 
 # ---------------------------------------------------------------------------

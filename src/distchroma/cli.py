@@ -5,7 +5,8 @@ or usage error, 2 soundness violation (an exact value beat a bound that
 applied).
 Outputs are deterministic for a fixed config: sorted JSON keys, stable
 tie-breaking everywhere, timestamps only on stderr. json_value encodes every
-report as strict JSON; _emit writes every one-document report with its header.
+report as strict JSON; _emit writes every one-document report with its header,
+and _stream every report of one line per graph (scan, corpus bounds).
 """
 
 from __future__ import annotations
@@ -66,6 +67,27 @@ def _emit(args: argparse.Namespace, body: dict) -> int:
             fh.write(text + "\n")
     else:
         print(text)
+    return EXIT_OK
+
+
+def _stream(args: argparse.Namespace, head: list[str], rows, mode: str = "w") -> int:
+    """Write the head lines and then the lines of the iterator ``rows``, each
+    flushed as it arrives, to --output or stdout. The first row is computed
+    before anything is opened, so an error on the first graph leaves no
+    output. Ctrl-C keeps every row written so far and returns 130."""
+    try:
+        first = list(itertools.islice(rows, 1))
+        out = open(args.output, mode, encoding="utf-8") if args.output else sys.stdout
+        try:
+            for row in itertools.chain(head, first, rows):
+                out.write(row + "\n")
+                out.flush()
+        finally:
+            if args.output:
+                out.close()
+    except KeyboardInterrupt:
+        print("interrupted; the records written so far are kept", file=sys.stderr)
+        return 130
     return EXIT_OK
 
 
@@ -141,19 +163,10 @@ def cmd_bounds(args) -> int:
             parse_graph6(lines[0]), args.gamma, exact_cap=args.cap,
             time_budget=args.timeout)})
 
-    rows = bnd.map_lines(_eval_one, lines, args.gamma, args.cap, args.timeout,
-                         args.format, jobs=args.jobs)
-    first = next(rows)  # an error on the first graph leaves no output file
-    head = (f"# distchroma {__version__} gamma={args.gamma}\n{_csv_line(*CSV_COLUMNS)}"
-            if args.format == "csv" else _dumps({"header": _header(args)}))
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for row in itertools.chain([head, first], rows):
-            out.write(row + "\n")
-    finally:
-        if args.output:
-            out.close()
-    return EXIT_OK
+    head = ([f"# distchroma {__version__} gamma={args.gamma}", _csv_line(*CSV_COLUMNS)]
+            if args.format == "csv" else [_dumps({"header": _header(args)})])
+    return _stream(args, head, bnd.map_lines(
+        _eval_one, lines, args.gamma, args.cap, args.timeout, args.format, jobs=args.jobs))
 
 
 def cmd_formulas(args) -> int:
@@ -167,61 +180,55 @@ def cmd_formulas(args) -> int:
     return EXIT_OK
 
 
-def _resumed_records(args) -> tuple[list[dict], bool] | None:
-    """Records already in the output of an earlier run and whether that run
-    finished (its last line is the summary); None when starting afresh.
-    A torn last line, cut off by a crash, is cut off the file too. Raises
-    ValueError when the earlier run's header has another config."""
+def _resume(args, report: bnd.ScanReport) -> tuple[int, bool] | None:
+    """Fold the records in the output of an earlier run into report, as they
+    are read; returns their count and whether that run finished (its last
+    line is the summary), or None when starting afresh. A torn last line, cut
+    off by a crash, is cut off the file too. Raises ValueError when the
+    earlier run's header has another config."""
     if not (args.output and args.resume and os.path.exists(args.output)):
         return None
+    done, last, whole = 0, None, 0
     with open(args.output, "rb") as fh:
-        data = fh.read()
-    whole = data[:data.rfind(b"\n") + 1]
-    rows = [json.loads(ln) for ln in whole.splitlines() if ln.strip()]
-    if not rows:
-        return None
-    config = rows[0].get("header", {}).get("config", {})
-    changed = [k for k in ("gamma", "cap", "input") if config.get(k) != getattr(args, k)]
-    if changed:
-        raise ValueError(f"cannot resume {args.output}: its header has another "
-                         f"{', '.join(changed)}")
-    if len(whole) < len(data):
-        with open(args.output, "r+b") as fh:
-            fh.truncate(len(whole))
-    return [r for r in rows[1:] if "status" in r], "summary" in rows[-1]
+        for ln in fh:
+            if not ln.endswith(b"\n"):
+                os.truncate(args.output, whole)
+                break
+            whole += len(ln)
+            if not ln.strip():
+                continue
+            row = json.loads(ln)
+            if last is None:
+                config = row.get("header", {}).get("config", {})
+                changed = [k for k in ("gamma", "cap", "input")
+                           if config.get(k) != getattr(args, k)]
+                if changed:
+                    raise ValueError(f"cannot resume {args.output}: its header has "
+                                     f"another {', '.join(changed)}")
+            elif "status" in row:
+                report.add(row)
+                done += 1
+            last = row
+    return None if last is None else (done, "summary" in last)
 
 
 def cmd_scan(args) -> int:
     lines = input_lines(args.input)
-    resumed = _resumed_records(args)
-    records, finished = resumed or ([], False)
-    out_fh = None
+    report = bnd.ScanReport(gamma=args.gamma)
+    resumed = _resume(args, report)
+    done, finished = resumed or (0, False)
+    if not finished:
+        def rows():
+            for rec in bnd.map_lines(bnd.scan_one, lines[done:], args.gamma, args.cap,
+                                     jobs=args.jobs):
+                report.add(rec)
+                yield _dumps(rec)
+            yield _dumps({"summary": report})
 
-    def write(obj: dict) -> None:
-        out_fh.write(_dumps(obj) + "\n")
-        out_fh.flush()
-
-    try:
-        if not finished:
-            rows = bnd.map_lines(bnd.scan_one, lines[len(records):], args.gamma,
-                                 args.cap, jobs=args.jobs)
-            first = list(itertools.islice(rows, 1))  # a first-graph error writes nothing
-            out_fh = (open(args.output, "a" if resumed else "w", encoding="utf-8")
-                      if args.output else sys.stdout)
-            if resumed is None:
-                write({"header": _header(args)})
-            for rec in itertools.chain(first, rows):
-                write(rec)
-                records.append(rec)
-        report = bnd.fold_scan(records, args.gamma)
-        if out_fh:
-            write({"summary": report})
-    except KeyboardInterrupt:
-        print("interrupted; the records written so far are kept", file=sys.stderr)
-        return 130
-    finally:
-        if out_fh and args.output:
-            out_fh.close()
+        head = [] if resumed else [_dumps({"header": _header(args)})]
+        code = _stream(args, head, rows(), "a" if resumed else "w")
+        if code:
+            return code
     if report.chi_equals_m_candidates or report.power_complete_m_candidates:
         print("counterexample candidate found", file=sys.stderr)
         return EXIT_SOUNDNESS

@@ -411,9 +411,9 @@ class PartialColoring:
     """Partial proper coloring of a power graph with a fixed palette.
 
     Kept as bitmasks, like the exact search: ``_seen[v]`` holds the colors
-    on v's colored neighbors, ``_classes[c]`` the vertices colored c and
-    ``_uncolored`` the uncolored vertices. The available colors, the excess
-    and the uncolored neighbors of a vertex are read off them. Owned by a
+    on v's colored neighbors and ``_uncolored`` the uncolored vertices. The
+    available colors, the excess and the uncolored neighbors of a vertex are
+    read off them. It only grows: ``assign`` never clears a bit. Owned by a
     single solver run; not safe to share while mutating.
     """
 
@@ -425,7 +425,6 @@ class PartialColoring:
         n = target.graph.n
         self.assignment: list[int | None] = [None] * n
         self._seen = [0] * n
-        self._classes = [0] * palette_size
         self._uncolored = (1 << n) - 1
 
     def _free(self, v: int) -> int:
@@ -455,24 +454,9 @@ class PartialColoring:
         if self._seen[v] >> c & 1:
             raise ValueError(f"color {c} conflicts with a neighbor of {v}")
         self.assignment[v] = c
-        self._classes[c] |= 1 << v
         self._uncolored ^= 1 << v
         for u in _iter_bits(self.target.graph.bits[v]):
             self._seen[u] |= 1 << c
-
-    def unassign(self, v: int) -> None:
-        """Uncolor v; a neighbor keeps seeing v's color while another of its
-        neighbors has it."""
-        c = self.assignment[v]
-        if c is None:
-            raise ValueError(f"vertex {v} is not colored")
-        self.assignment[v] = None
-        self._classes[c] ^= 1 << v
-        self._uncolored |= 1 << v
-        bits = self.target.graph.bits
-        for u in _iter_bits(bits[v]):
-            if not bits[u] & self._classes[c]:
-                self._seen[u] &= ~(1 << c)
 
     def _assign_least(self, v: int) -> bool:
         """Give v its least available color; False when none is left."""
@@ -543,10 +527,10 @@ def complete_partial_coloring(
     """Finish a partial coloring greedily along ``order``.
 
     ``order`` must list exactly the uncolored vertices with u, v as its last
-    two entries, and u, v must be adjacent in the target. u takes each of
-    its available colors in turn, least first, until v has a color left;
-    anything deeper is left to the exact solver. Precondition violations
-    raise ValueError, search dead-ends return CompletionFailure.
+    two entries, and u, v must be adjacent in the target. u takes its least
+    color that leaves v one: u's color takes only itself from v. Anything
+    deeper is left to the exact solver. Precondition violations raise
+    ValueError, dead ends return CompletionFailure; no color is taken back.
     """
     order = list(order)
     if pc.is_colored(u) or pc.is_colored(v):
@@ -561,15 +545,16 @@ def complete_partial_coloring(
     for w in order[:-2]:
         if not pc._assign_least(w):
             return CompletionFailure(w, "order", pc.state_digest())
-    colors_u = pc._free(u)
-    if not colors_u:
+    free_u, free_v = pc._free(u), pc._free(v)
+    if not free_u:
         return CompletionFailure(u, "u", pc.state_digest())
-    for c in _iter_bits(colors_u):
-        pc.assign(u, c)
-        if pc._assign_least(v):
-            return pc.to_coloring()
-        pc.unassign(u)
-    return CompletionFailure(v, "v", pc.state_digest())
+    if free_v.bit_count() == 1:
+        free_u &= ~free_v  # leave v its one color
+    if not (free_u and free_v):
+        return CompletionFailure(v, "v", pc.state_digest())
+    pc.assign(u, (free_u & -free_u).bit_length() - 1)
+    pc._assign_least(v)
+    return pc.to_coloring()
 
 
 # ---------------------------------------------------------------------------

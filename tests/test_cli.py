@@ -367,13 +367,16 @@ def test_every_exception_survives_pickling():
     assert str(samples[-1]) == "broken bound" and samples[-1].report is None
 
 
-def _run_cli(*argv, timeout=30.0):
+def _run_cli(*argv, timeout=30.0, interrupt_at=None):
     """The distchroma command in a subprocess of its own session. A run
-    that outlives ``timeout`` has its process group killed and fails."""
+    that outlives ``timeout`` has its process group killed and fails. With
+    ``interrupt_at`` a path, the group gets SIGINT, as Ctrl-C sends it, once
+    that file holds three lines."""
     import os
     import signal
     import subprocess
     import sys
+    import time
     from pathlib import Path
 
     import distchroma
@@ -382,6 +385,12 @@ def _run_cli(*argv, timeout=30.0):
     proc = subprocess.Popen([sys.executable, "-m", "distchroma.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, env=env, start_new_session=True)
+    deadline = time.monotonic() + timeout
+    while interrupt_at is not None and proc.poll() is None and time.monotonic() < deadline:
+        if interrupt_at.exists() and interrupt_at.read_bytes().count(b"\n") >= 3:
+            os.killpg(proc.pid, signal.SIGINT)
+            break
+        time.sleep(0.005)
     try:
         _, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -595,6 +604,64 @@ def test_scan_interrupted_then_resumed_equals_uninterrupted(
     monkeypatch.setattr(bnd, "scan_one", real_scan_one)
     assert main(argv + ["--resume"]) == EXIT_OK
     assert out.read_bytes() == full
+
+
+INTERRUPTED = "interrupted; the records written so far are kept\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ctrl_c_on_a_scan_then_resume_equals_uninterrupted(tmp_path, capsys,
+                                                           corpus_lines, jobs):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("\n".join(corpus_lines[-3000:]) + "\n")
+    out = tmp_path / "s.jsonl"
+    argv = ["scan", "--input", str(corpus), "--jobs", jobs, "--output", str(out)]
+    assert main(argv) == EXIT_OK
+    full = out.read_bytes()
+    out.unlink()
+    assert _run_cli(*argv, interrupt_at=out) == (130, INTERRUPTED)
+    kept = out.read_bytes()
+    assert 3 <= kept.count(b"\n") < full.count(b"\n") and full.startswith(kept)
+    assert main(argv + ["--resume"]) == EXIT_OK
+    assert out.read_bytes() == full
+
+
+def test_ctrl_c_on_a_pooled_bounds_run_keeps_whole_lines(tmp_path, corpus_lines):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("\n".join(corpus_lines[-2000:]) + "\n")
+    out = tmp_path / "b.jsonl"
+    assert _run_cli("bounds", "--format", "jsonl", "--input", str(corpus), "--jobs",
+                    "2", "--output", str(out), interrupt_at=out) == (130, INTERRUPTED)
+    text = out.read_text()
+    assert text.endswith("\n") and 3 <= text.count("\n") < 2001
+    assert all(json.loads(ln) for ln in text.splitlines())
+
+
+def test_scan_frees_each_record_once_written(tmp_path, monkeypatch, capsys,
+                                             corpus_lines):
+    import gc
+    import weakref
+
+    import distchroma.bounds as bnd
+
+    class Record(dict):
+        pass
+
+    real_scan_one = bnd.scan_one
+    refs, freed = [], []
+
+    def tracked(line, *args):
+        if len(refs) == 20:
+            gc.collect()
+            freed.append(refs[1]() is None)
+        rec = Record(real_scan_one(line, *args))
+        refs.append(weakref.ref(rec))
+        return rec
+
+    monkeypatch.setattr(bnd, "scan_one", tracked)
+    _, argv = _scan_argv(tmp_path, corpus_lines)
+    assert main(argv) == EXIT_OK
+    assert len(refs) == 120 and freed == [True]
 
 
 def test_scan_resume_cuts_a_torn_record(tmp_path, capsys, corpus_lines):

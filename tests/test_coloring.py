@@ -360,8 +360,6 @@ def test_partial_coloring_enforces_properness():
     with pytest.raises(ValueError):
         pc.assign(0, 1)
     pc.assign(1, 1)
-    pc.unassign(1)
-    pc.assign(1, 1)
     assert pc.available(2) == {0}
 
 
@@ -391,11 +389,8 @@ def test_partial_coloring_bookkeeping_matches_recompute(data):
     palette = data.draw(st.integers(min_value=1, max_value=5), label="palette")
     pc = PartialColoring(pg, palette)
     for _ in range(data.draw(st.integers(min_value=0, max_value=12), label="ops")):
-        colored = [v for v in range(n) if pc.is_colored(v)]
         uncolored = pc.uncolored_vertices()
-        if colored and data.draw(st.booleans(), label="uncolor?"):
-            pc.unassign(data.draw(st.sampled_from(colored), label="which"))
-        elif uncolored:
+        if uncolored:
             v = data.draw(st.sampled_from(uncolored), label="vertex")
             avail = sorted(pc.available(v))
             if avail:
@@ -485,6 +480,56 @@ def test_completion_failure_on_k10_with_nine_colors():
     result = complete_partial_coloring(pc, order, u=8, v=9)
     assert isinstance(result, CompletionFailure)
     assert result.blocking_vertex == 9 and result.stage == "v"
+
+
+def _reference_completion(pc, order, u, v):
+    """The completion as a loop: greedy along ``order``, then u tries each of
+    its available colors, least first, on a copy of the state, until v has a
+    color left."""
+    for w in order[:-2]:
+        if not pc.available(w):
+            return CompletionFailure(w, "order", pc.state_digest())
+        pc.assign(w, min(pc.available(w)))
+    if not pc.available(u):
+        return CompletionFailure(u, "u", pc.state_digest())
+    for c in sorted(pc.available(u)):
+        trial = PartialColoring(pc.target, pc.palette_size)
+        for w, color in enumerate(pc.assignment):
+            if color is not None:
+                trial.assign(w, color)
+        trial.assign(u, c)
+        if trial.available(v):
+            trial.assign(v, min(trial.available(v)))
+            return trial.to_coloring()
+    return CompletionFailure(v, "v", pc.state_digest())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_completion_picks_the_color_the_loop_over_u_picks(data):
+    n = data.draw(st.integers(min_value=2, max_value=7), label="n")
+    u, v = data.draw(st.permutations(range(n)), label="perm")[:2]
+    possible = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(possible), max_size=len(possible)),
+                      label="edges")
+    pg = power_graph(from_edges(n, set(edges) | {(min(u, v), max(u, v))}), 1)
+    palette = data.draw(st.integers(min_value=1, max_value=5), label="palette")
+    precolored = {}
+    for w in data.draw(st.permutations(sorted(set(range(n)) - {u, v})), label="order"):
+        if data.draw(st.booleans(), label="precolor?"):
+            precolored[w] = data.draw(st.integers(0, palette - 1), label="color")
+    runs = []
+    for _ in range(2):
+        pc = PartialColoring(pg, palette)
+        for w, c in precolored.items():
+            if c in pc.available(w):
+                pc.assign(w, c)
+        runs.append(pc)
+    rest = data.draw(st.permutations(
+        [w for w in runs[0].uncolored_vertices() if w not in (u, v)]), label="rest")
+    order = list(rest) + [u, v]
+    assert (complete_partial_coloring(runs[0], order, u, v)
+            == _reference_completion(runs[1], order, u, v))
 
 
 def test_completion_precondition_errors():
