@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (skipped items allowed unless --strict), 1 operational
 or usage error, 2 soundness violation (an exact value beat a bound that
-applied).
+applied), 130 Ctrl-C, for every subcommand (main is its one handler).
 Outputs are deterministic for a fixed config: sorted JSON keys, stable
 tie-breaking everywhere, timestamps only on stderr. json_value encodes every
 report as strict JSON; _emit writes every one-document report with its header,
@@ -74,20 +74,16 @@ def _stream(args: argparse.Namespace, head: list[str], rows, mode: str = "w") ->
     """Write the head lines and then the lines of the iterator ``rows``, each
     flushed as it arrives, to --output or stdout. The first row is computed
     before anything is opened, so an error on the first graph leaves no
-    output. Ctrl-C keeps every row written so far and returns 130."""
+    output, and an interrupt keeps every row written so far."""
+    first = list(itertools.islice(rows, 1))
+    out = open(args.output, mode, encoding="utf-8") if args.output else sys.stdout
     try:
-        first = list(itertools.islice(rows, 1))
-        out = open(args.output, mode, encoding="utf-8") if args.output else sys.stdout
-        try:
-            for row in itertools.chain(head, first, rows):
-                out.write(row + "\n")
-                out.flush()
-        finally:
-            if args.output:
-                out.close()
-    except KeyboardInterrupt:
-        print("interrupted; the records written so far are kept", file=sys.stderr)
-        return 130
+        for row in itertools.chain(head, first, rows):
+            out.write(row + "\n")
+            out.flush()
+    finally:
+        if args.output:
+            out.close()
     return EXIT_OK
 
 
@@ -186,7 +182,7 @@ def _resume(args, report: bnd.ScanReport) -> tuple[int, bool] | None:
     line is the summary), or None when starting afresh. A torn last line, cut
     off by a crash, is cut off the file too. Raises ValueError when the
     earlier run's header has another config."""
-    if not (args.output and args.resume and os.path.exists(args.output)):
+    if not (args.resume and os.path.exists(args.output)):
         return None
     done, last, whole = 0, None, 0
     with open(args.output, "rb") as fh:
@@ -226,9 +222,7 @@ def cmd_scan(args) -> int:
             yield _dumps({"summary": report})
 
         head = [] if resumed else [_dumps({"header": _header(args)})]
-        code = _stream(args, head, rows(), "a" if resumed else "w")
-        if code:
-            return code
+        _stream(args, head, rows(), "a" if resumed else "w")
     if report.chi_equals_m_candidates or report.power_complete_m_candidates:
         print("counterexample candidate found", file=sys.stderr)
         return EXIT_SOUNDNESS
@@ -309,9 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "color" and args.timeout is not None and not args.exact:
+        parser.error("color reads --timeout only with --exact")
+    if args.command == "color" and args.palette and args.cap != col.DEFAULT_EXACT_CAP:
+        parser.error("color does not read --cap with --palette")
+    if args.command == "scan" and args.resume and not args.output:
+        parser.error("scan --resume continues the file named by --output")
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("interrupted; the records written so far are kept", file=sys.stderr)
+        return 130
     except bnd.SoundnessViolation as err:
         print(f"SOUNDNESS VIOLATION: {err}", file=sys.stderr)
         print(_dumps(err.report), file=sys.stderr)

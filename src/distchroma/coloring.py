@@ -8,8 +8,8 @@ ub > lb a DSATUR-ordered backtracking search runs on ub - 1 colors, with a
 seeded Tabucol local search advanced one iteration per search node. A
 coloring from either lowers ub to its color count; a search that ends
 without one proves ub - 1 infeasible, so chi = ub. So a returned value is
-certified minimal; outside the first case its witness is checked proper
-with a real raise. The search is a bitset kernel: the vertices are ranked
+certified minimal, and in both cases its witness is checked proper with a
+real raise. The search is a bitset kernel: the vertices are ranked
 once by degree, the uncolored vertices of each saturation level form one
 bitmask, and each color keeps the bitmask of vertices adjacent to it, so a
 search node costs O(k) integer operations plus a pass over the top
@@ -75,7 +75,10 @@ class Coloring:
     k: int
 
     def proper_on(self, g: Graph) -> bool:
-        return all(self.assignment[u] != self.assignment[v] for u, v in g.edges)
+        classes = [0] * self.k
+        for v, c in enumerate(self.assignment):
+            classes[c] |= 1 << v
+        return not any(b & classes[c] for b, c in zip(g.bits, self.assignment))
 
 
 def normalize_coloring(assignment: Sequence[int]) -> Coloring:
@@ -132,8 +135,8 @@ def _solve_k(
     then lowest index) with first-occurrence color symmetry breaking:
     colors are tried in ascending order below min(k, used + 1), so at most
     one fresh color index is opened per decision. Each color tried is one
-    node; the budget is checked at every node and the deadline at every
-    1024th. With n colors the search is the greedy DSATUR coloring.
+    node; the budget is checked at every node and the deadline at the first
+    and every 1024th. With n colors the search is the greedy DSATUR coloring.
 
     ``local`` is a local search on k colors, advanced one step per node: it
     yields None while it runs and a proper coloring when it finds one,
@@ -186,14 +189,11 @@ def _solve_k(
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise SolverBudgetError("nodes", f"over {node_budget} decisions")
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+        if deadline is not None and nodes % 1024 == 1 and time.monotonic() > deadline:
             raise SolverBudgetError("time", "wall-clock limit hit")
-        if local is not None:
-            found = next(local, ())
-            if found:
-                return found
-            if found == ():  # the local search gave up
-                local = None
+        found = local and next(local, None)
+        if found:
+            return found
         old = adj[c]
         frames.append((v, allowed ^ low, used, buckets, c, old))
         colors[v] = c
@@ -237,9 +237,7 @@ def _independence_number(g: Graph) -> int:
     return max_clique(complement)[0]
 
 
-def _tabucol(
-    g: Graph, start: Coloring, deadline: float | None
-) -> Iterator[list[int] | None]:
+def _tabucol(g: Graph, start: Coloring) -> Iterator[list[int] | None]:
     """Steps of a local search for a proper coloring with fewer colors
     than ``start``: None before each iteration, then the coloring if found.
 
@@ -252,7 +250,7 @@ def _tabucol(
     the vertex left is tabu for a random 0..9 plus 0.6 times the number of
     conflicting vertices iterations, unless it reaches fewer conflicts than
     ever before. The run stops at zero conflicts or after
-    TABUCOL_ITERATIONS; past the deadline it raises SolverBudgetError.
+    TABUCOL_ITERATIONS; only the search it steps beside checks budgets.
     """
     rng = random.Random(TABUCOL_SEED)
     n, k = g.n, start.k - 1
@@ -279,8 +277,6 @@ def _tabucol(
         if not conflicts:
             break
         yield None
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverBudgetError("time", "wall-clock limit hit")
         best, moves = n * n, []
         aspiration = fewest - conflicts  # a tabu move is allowed below this
         for v in _iter_bits(conflicting):
@@ -329,29 +325,24 @@ def chromatic_number(
     or the (k-1)-palette search returned infeasible. One loop searches
     ub - 1 colors, from the DSATUR count down, each search stepping a
     Tabucol run from the best coloring so far, until a search fails or ub
-    reaches lb. A node budget bounds each search, and so the Tabucol
-    iterations run beside it. A budget stop raises SolverBudgetError with
-    the bracket [lb, ub] known at that moment.
+    reaches lb. A node budget bounds each search and the Tabucol steps
+    beside it; a stop raises SolverBudgetError with the bracket [lb, ub].
+    The one return checks the witness proper, searched or not.
     """
     if g.n > cap:
         raise SolverCapError(f"exact solver capped at n={cap}, got n={g.n}")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     omega, _ = max_clique(g)
-    witness = dsatur_upper_bound(g)
-    if witness.k == omega:
-        return omega, witness
-    lb = max(omega, -(-g.n // _independence_number(g)))
-    ub = witness.k
+    witness = dsatur_upper_bound(g)  # its count is ub
+    lb = omega if witness.k == omega else max(omega, -(-g.n // _independence_number(g)))
     try:
-        while ub > lb:
-            found = _solve_k(g, ub - 1, node_budget, deadline,
-                             _tabucol(g, witness, deadline))
+        while witness.k > lb:
+            found = _solve_k(g, witness.k - 1, node_budget, deadline, _tabucol(g, witness))
             if found is None:
                 break
             witness = normalize_coloring(found)
-            ub = witness.k
     except SolverBudgetError as err:
-        raise SolverBudgetError(err.kind, err.detail, lb, ub) from None
+        raise SolverBudgetError(err.kind, err.detail, lb, witness.k) from None
     if not witness.proper_on(g):
         raise AssertionError(f"the {witness.k}-coloring found is not proper")
     return witness.k, witness

@@ -198,7 +198,10 @@ def parse_graph6(text: str) -> Graph:
     line = text.rstrip("\r\n")
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
-    data = line.encode("ascii", errors="replace")
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as err:
+        raise Graph6Error(f"non-ASCII character {line[err.start]!r}", err.start) from None
     n, pos = _g6_read_order(data, 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -434,6 +437,7 @@ _SPECS = {
     "complete": (1, complete_graph),
     "petersen": (0, petersen),
     "hoffman-singleton": (0, hoffman_singleton),
+    "tutte-coxeter": (0, tutte_coxeter),
     "complete-bipartite": (2, complete_bipartite),
     "torus": (2, square_lattice_torus),
     "hex": (2, hex_lattice),

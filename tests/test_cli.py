@@ -367,11 +367,12 @@ def test_every_exception_survives_pickling():
     assert str(samples[-1]) == "broken bound" and samples[-1].report is None
 
 
-def _run_cli(*argv, timeout=30.0, interrupt_at=None):
+def _run_cli(*argv, timeout=30.0, interrupt_at=None, stdout=None):
     """The distchroma command in a subprocess of its own session. A run
     that outlives ``timeout`` has its process group killed and fails. With
     ``interrupt_at`` a path, the group gets SIGINT, as Ctrl-C sends it, once
-    that file holds three lines."""
+    that file holds three lines; with it a number, that many seconds after
+    the start. With ``stdout`` a string, the run must print exactly that."""
     import os
     import signal
     import subprocess
@@ -385,14 +386,21 @@ def _run_cli(*argv, timeout=30.0, interrupt_at=None):
     proc = subprocess.Popen([sys.executable, "-m", "distchroma.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, env=env, start_new_session=True)
-    deadline = time.monotonic() + timeout
+    start = time.monotonic()
+    deadline = start + timeout
+
+    def due() -> bool:
+        if isinstance(interrupt_at, (int, float)):
+            return time.monotonic() >= start + interrupt_at
+        return interrupt_at.exists() and interrupt_at.read_bytes().count(b"\n") >= 3
+
     while interrupt_at is not None and proc.poll() is None and time.monotonic() < deadline:
-        if interrupt_at.exists() and interrupt_at.read_bytes().count(b"\n") >= 3:
+        if due():
             os.killpg(proc.pid, signal.SIGINT)
             break
         time.sleep(0.005)
     try:
-        _, err = proc.communicate(timeout=timeout)
+        out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
@@ -404,6 +412,7 @@ def _run_cli(*argv, timeout=30.0, interrupt_at=None):
     else:
         os.killpg(proc.pid, signal.SIGKILL)
         pytest.fail(f"distchroma {' '.join(argv)} left processes running")
+    assert stdout is None or out == stdout
     return proc.returncode, err
 
 
@@ -626,6 +635,16 @@ def test_ctrl_c_on_a_scan_then_resume_equals_uninterrupted(tmp_path, capsys,
     assert out.read_bytes() == full
 
 
+def test_ctrl_c_on_an_exact_color_run_exits_130(tmp_path):
+    """Ctrl-C stops every subcommand the same way, here one second into an
+    exact solve: exit 130, one stderr line, and no report written."""
+    out = tmp_path / "F.json"
+    assert _run_cli("color", "--exact", "--input", "random-regular:n=48,d=3,seed=1",
+                    "--gamma", "3", "--output", str(out),
+                    interrupt_at=1.0, stdout="") == (130, INTERRUPTED)
+    assert not out.exists()
+
+
 def test_ctrl_c_on_a_pooled_bounds_run_keeps_whole_lines(tmp_path, corpus_lines):
     corpus = tmp_path / "c.g6"
     corpus.write_text("\n".join(corpus_lines[-2000:]) + "\n")
@@ -689,6 +708,10 @@ def test_scan_resume_cuts_a_torn_record(tmp_path, capsys, corpus_lines):
     ["formulas", "--gamma", "2"],
     ["formulas", "--path", "5", "--cycle", "7"],
     ["color", "--input", "petersen", "--exact", "--palette", "3"],
+    ["color", "--input", "petersen", "--timeout", "1e-6"],
+    ["color", "--input", "petersen", "--palette", "3", "--timeout", "1"],
+    ["color", "--input", "petersen", "--palette", "3", "--cap", "1"],
+    ["scan", "--input", "petersen", "--resume"],
 ])
 def test_usage_error_exits_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -221,8 +221,8 @@ def test_tabucol_is_deterministic_and_proper(name):
     g, gamma = REFERENCE_SEARCHES[name]
     target = power_graph(g, gamma).graph
     start = dsatur_upper_bound(target)
-    steps = list(_tabucol(target, start, None))
-    assert steps == list(_tabucol(target, start, None))
+    steps = list(_tabucol(target, start))
+    assert steps == list(_tabucol(target, start))
     *running, found = steps
     assert found is not None and running == [None] * len(running)
     assert len(running) <= TABUCOL_ITERATIONS
@@ -235,9 +235,9 @@ def test_tabucol_steps_never_outnumber_search_nodes(corpus_lines, monkeypatch):
     it costs no more than the search it runs beside."""
     steps: list[list[int]] = []  # [palette, steps taken] per Tabucol run
 
-    def counted(g, start, deadline):
+    def counted(g, start):
         steps.append([start.k - 1, 0])
-        for found in _tabucol(g, start, deadline):
+        for found in _tabucol(g, start):
             steps[-1][1] += 1
             yield found
 
@@ -272,8 +272,8 @@ from distchroma import coloring, graph_from_spec, power_graph
 
 real = coloring._tabucol
 
-def improper(g, start, deadline):
-    for found in real(g, start, deadline):
+def improper(g, start):
+    for found in real(g, start):
         if found:
             u, v = g.edges[0]
             found[v] = found[u]
@@ -308,6 +308,45 @@ def test_improper_tabucol_coloring_raises():
     witness check raises, with and without ``python -O``."""
     assert _planted_fault_output(_IMPROPER_TABUCOL) == [
         "the 7-coloring found is not proper"] * 2
+
+
+def test_only_the_search_checks_the_time_budget(monkeypatch):
+    """The search reads the clock at its first node, not only at every
+    1024th: with Tabucol stepping nothing, a search far shorter than 1024
+    nodes still stops on a spent budget."""
+    monkeypatch.setattr(coloring_module, "_tabucol", lambda *_: iter(()))
+    target = power_graph(square_lattice_torus(4, 6), 2).graph
+    assert chromatic_number(target)[0] == 6
+    with pytest.raises(SolverBudgetError) as err:
+        chromatic_number(target, time_budget=1e-9)
+    assert err.value.kind == "time"
+
+
+def test_witness_is_checked_when_dsatur_meets_the_clique_number(monkeypatch):
+    """The return with nothing searched checks its witness too: an improper
+    DSATUR coloring with omega colors raises."""
+    path = path_graph(3)  # omega = 2; the coloring below puts 1 and 2 together
+    monkeypatch.setattr(coloring_module, "dsatur_upper_bound",
+                        lambda g: Coloring((0, 1, 1), 2))
+    with pytest.raises(AssertionError, match="the 2-coloring found is not proper"):
+        chromatic_number(path)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_proper_on_matches_the_edge_form(data):
+    """The check on color-class bitmasks agrees with the edge-by-edge
+    definition on every assignment of length n, proper or not."""
+    n = data.draw(st.integers(min_value=0, max_value=9), label="n")
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(possible),
+                              max_size=len(possible)), label="edges")
+    g = from_edges(n, [e for e, kept in zip(possible, keep) if kept])
+    k = data.draw(st.integers(min_value=1, max_value=4), label="k")
+    assignment = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                                    min_size=n, max_size=n), label="assignment")
+    expected = all(assignment[u] != assignment[v] for u, v in g.edges)
+    assert Coloring(tuple(assignment), k).proper_on(g) == expected
 
 
 def test_solver_minimality_against_oracle(corpus_lines):

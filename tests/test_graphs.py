@@ -73,6 +73,15 @@ def test_graph6_errors_carry_offset(text, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("text, offset", [("Cé", 1), ("D?é{", 2), (">>graph6<<é", 0)])
+def test_graph6_rejects_non_ascii_text(text, offset):
+    """A non-ASCII character is a fault at its own offset, not a byte 63
+    ('?', a valid byte) after a lossy encode: "Cé" is no empty graph."""
+    with pytest.raises(Graph6Error, match="non-ASCII character") as err:
+        parse_graph6(text)
+    assert err.value.offset == offset
+
+
 def test_graph6_nonzero_padding_rejected():
     # K2 is "A_" (bit 1 then zero padding); set a padding bit instead.
     assert parse_graph6("A_").m == 1
@@ -262,6 +271,12 @@ def test_every_spec_name_builds_its_class(text, family, n):
     assert g.bits == _DIRECT[family]().bits  # the builder the name stands for
     with pytest.raises(GenerationError):  # one parameter more
         graph_from_spec(text + ("," if ":" in text else ":") + "3")
+
+
+def test_tutte_coxeter_is_a_spec_name():
+    assert graph_from_spec("Tutte-Coxeter").bits == tutte_coxeter().bits
+    with pytest.raises(GenerationError):  # it takes no parameter
+        graph_from_spec("tutte-coxeter:3")
 
 
 def test_validate_raises_under_optimize():

@@ -6,11 +6,11 @@ Two checkouts that print the same lines write the same bytes for:
 - ``scan`` and ``bounds --format jsonl|csv`` over the shipped corpus at
   gamma = 2 and 3 (a jsonl file without its header line, which records
   the output path; a csv file whole);
-- for petersen, hoffman-singleton, tutte-coxeter (read from a graph6
-  file), torus:5,7 and hex:8,8: ``invariants``, and at gamma = 2 and 3
-  the ``color`` strategy, ``color --palette`` with 2 colors (some vertices
-  stay uncolored) and with n colors (every vertex is colored),
-  ``spectral``, ``power`` and ``bounds --format json``;
+- for petersen, hoffman-singleton, tutte-coxeter, torus:5,7 and hex:8,8:
+  ``invariants``, and at gamma = 2 and 3 the ``color`` strategy,
+  ``color --palette`` with 2 colors (some vertices stay uncolored) and
+  with n colors (every vertex is colored), ``spectral``, ``power`` and
+  ``bounds --format json``;
 - ``color --exact``, chi with its witness, of torus:5,7, torus:6,7 and
   tutte-coxeter at gamma = 2 and 3. Each solve has a DSATUR count above
   the clique number, so its witness pins the exact search and the seeded
@@ -42,8 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from distchroma import (  # noqa: E402
-    cli, encode_graph6, graph_from_spec, tutte_coxeter)
+from distchroma import cli, graph_from_spec  # noqa: E402
 
 CORPUS = ROOT / "tests" / "data" / "connected_le8.g6"
 NAMED = ("petersen", "hoffman-singleton", "tutte-coxeter", "torus:5,7", "hex:8,8")
@@ -74,13 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--jobs", type=int, default=2)
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        tutte = Path(tmp, "tutte-coxeter.g6")
-        tutte.write_text(encode_graph6(tutte_coxeter()) + "\n")
         jsonl, csv, doc = (Path(tmp, "out" + s) for s in (".jsonl", ".csv", ".json"))
-
-        def source(name: str) -> str:
-            return str(tutte) if name == "tutte-coxeter" else name
-
         for gamma in (2, 3):
             corpus = ["--input", str(CORPUS), "--gamma", str(gamma),
                       "--jobs", str(args.jobs)]
@@ -91,26 +84,26 @@ def main(argv: list[str] | None = None) -> int:
         named = [(name, gamma) for name in NAMED for gamma in (2, 3)]
         for name, gamma in named:
             pin(doc, f"color {name} gamma={gamma}",
-                ["color", "--input", source(name), "--gamma", str(gamma)],
+                ["color", "--input", name, "--gamma", str(gamma)],
                 keep="strategy")
         for name, gamma in named:
-            for palette in (2, graph_from_spec(source(name)).n):
+            for palette in (2, graph_from_spec(name).n):
                 pin(doc, f"color --palette {palette} {name} gamma={gamma}",
-                    ["color", "--input", source(name), "--gamma", str(gamma),
+                    ["color", "--input", name, "--gamma", str(gamma),
                      "--palette", str(palette)])
         for name in EXACT:
             for gamma in (2, 3):
                 pin(doc, f"color --exact {name} gamma={gamma}",
-                    ["color", "--exact", "--input", source(name), "--gamma", str(gamma)])
+                    ["color", "--exact", "--input", name, "--gamma", str(gamma)])
         for name in NAMED:
-            pin(doc, f"invariants {name}", ["invariants", "--input", source(name)])
+            pin(doc, f"invariants {name}", ["invariants", "--input", name])
             for gamma in (2, 3):
                 pin(doc, f"spectral {name} gamma={gamma}",
-                    ["spectral", "--input", source(name), "--gamma", str(gamma)])
+                    ["spectral", "--input", name, "--gamma", str(gamma)])
         for command, extra in (("power", ()), ("bounds", ("--format", "json"))):
             for name, gamma in named:
                 pin(doc, " ".join([command, *extra, name, f"gamma={gamma}"]),
-                    [command, "--input", source(name), "--gamma", str(gamma), *extra])
+                    [command, "--input", name, "--gamma", str(gamma), *extra])
         for family, sizes in (("path", range(1, 9)), ("cycle", range(3, 13))):
             pin(doc, f"formulas --{family}", *(
                 ["formulas", f"--{family}", str(n), "--gamma", str(gamma)]
