@@ -18,11 +18,11 @@ from typing import Iterable, Iterator
 from . import coloring as col
 from . import metrics as met
 from . import spectral as spec
+from .coloring import LARGE_DEGREE, odd_degree_threshold
 from .graphs import Graph, encode_graph6, parse_graph6
 from .metrics import max_power_degree
 
 INT_GUARD = 1e-9  # slack when flooring real-valued bounds to integers
-LARGE_DEGREE = 10**14  # power-graph degree from which the large-degree clique bound holds
 
 
 class SoundnessViolation(AssertionError):
@@ -53,32 +53,17 @@ class MooreCertificate:
     is_moore: bool
 
 
-def _moore_conditions(g: Graph, gamma: int) -> tuple[bool, bool, bool]:
-    """Delta-regular, order M+1, girth 2*gamma+1: together they make a Moore
-    graph. The diameter gamma follows: with girth 2*gamma+1 the depth-gamma
-    BFS tree from any vertex holds 1 + Delta + ... + Delta(Delta-1)^(gamma-1)
-    = M+1 distinct vertices, that is, every vertex."""
-    delta = g.max_degree()
-    return (g.min_degree() == delta,
-            g.n == max_power_degree(delta, gamma) + 1,
-            met.girth(g) == 2 * gamma + 1)
-
-
 def detect_moore(g: Graph, gamma: int) -> MooreCertificate:
-    """Moore check from _moore_conditions, with diameter gamma as evidence.
-    No hardcoded graph list; works on arbitrary inputs."""
-    if not col.in_scope(g, gamma):
-        raise ValueError("Moore detection requires a connected graph with "
-                         "maximum degree >= 3")
-    delta = g.max_degree()
-    regular, order, girth_ok = _moore_conditions(g, gamma)
+    """The Moore conditions of the hypotheses record, with diameter gamma as
+    evidence. No hardcoded graph list; works on arbitrary inputs."""
+    hyp = col.bound_hypotheses(g, gamma)
     diameter_ok = met.diameter(g) == gamma
-    is_moore = regular and order and girth_ok
-    if is_moore and not diameter_ok:
+    if hyp.is_moore and not diameter_ok:
         raise AssertionError(f"a Moore graph of diameter {met.diameter(g)}, "
                              f"not gamma = {gamma}")
-    return MooreCertificate(delta, gamma, max_power_degree(delta, gamma) + 1,
-                            regular, order, girth_ok, diameter_ok, is_moore)
+    return MooreCertificate(hyp.max_degree, gamma, hyp.m_value + 1, hyp.is_regular,
+                            hyp.order_matches, hyp.girth_is_2gamma_plus_1,
+                            diameter_ok, hyp.is_moore)
 
 
 @dataclass(frozen=True)
@@ -126,9 +111,8 @@ def evaluate_bounds(
 
     Raises SoundnessViolation if the exact value beats an applicable bound.
     """
-    hyp = col.save_color_hypotheses(g, gamma)
-    delta, gir = hyp.max_degree, hyp.girth
-    m_value = max_power_degree(delta, gamma)
+    hyp = col.bound_hypotheses(g, gamma)
+    delta, gir, m_value = hyp.max_degree, hyp.girth, hyp.m_value
     moore = detect_moore(g, gamma)
 
     entries: list[BoundEntry] = []
@@ -139,26 +123,21 @@ def evaluate_bounds(
                        strict, applicable, dict(evidence)))
 
     add("power-degree-plus-one", m_value + 1, delta=delta)
-    add("girth-not-critical", m_value,
-        applicable=gir != 2 * gamma + 1, girth=gir)
+    add("girth-not-critical", m_value, applicable=hyp.girth_not_critical, girth=gir)
     add("non-regular", m_value - 1, applicable=hyp.non_regular,
         min_degree=hyp.min_degree, max_degree=delta)
     add("short-girth", m_value - 1, applicable=hyp.short_girth, girth=gir)
-    add("high-girth-connected", m_value - 1,
-        applicable=hyp.high_girth_connected, girth=gir,
-        connectivity=hyp.connectivity,
+    add("high-girth-connected", m_value - 1, applicable=hyp.high_girth_connected,
+        girth=gir, connectivity=hyp.connectivity,
         required_connectivity=hyp.required_connectivity)
+    add("odd-degree-large", m_value - 1, applicable=hyp.odd_degree_large,
+        delta=delta, threshold=odd_degree_threshold(gamma))
 
-    threshold = odd_degree_threshold(gamma)
-    add("odd-degree-large", m_value - 1,
-        applicable=(delta % 2 == 1 and delta >= threshold and not moore.is_moore),
-        delta=delta, threshold=threshold)
-
+    # In scope, lambda1 >= sqrt(Delta) >= sqrt(3) > 1 and n >= Delta + 1 >= 4:
+    # both spectral bounds always apply.
     lam = spec.spectral_radius(g).lambda1
-    add("spectral-series", spec.geometric_series_bound(lam, gamma) if lam > 1
-        else g.n, applicable=lam > 1, lambda1=lam)
-    add("spectral-power", lam**gamma + 1, strict=gamma >= 3, lambda1=lam,
-        applicable=g.n >= 3)
+    add("spectral-series", spec.geometric_series_bound(lam, gamma), lambda1=lam)
+    add("spectral-power", lam**gamma + 1, strict=gamma >= 3, lambda1=lam)
 
     best = min(e.value_int for e in entries if e.applicable)
 
@@ -231,21 +210,20 @@ def check_clique_exclusion(g: Graph, gamma: int) -> CliqueExclusionReport:
     """For a non-Moore graph, the gamma-th power must not contain a clique
     of size M while also having more than M vertices. Also records whether
     the power equals K_M outright (expected never)."""
-    cert = detect_moore(g, gamma)
-    if cert.is_moore:
+    hyp = col.bound_hypotheses(g, gamma)
+    if hyp.is_moore:
         raise ValueError("clique exclusion applies to non-Moore graphs only")
-    m_value = max_power_degree(g.max_degree(), gamma)
     pg = met.power_graph(g, gamma).graph
-    complete_m = power_is_complete_m(pg, m_value)
+    complete_m = power_is_complete_m(pg, hyp.m_value)
     try:
         omega = met.clique_number(pg)
     except met.CliqueCapError:
         return CliqueExclusionReport(
-            encode_graph6(g), gamma, m_value, pg.n, None, None,
+            encode_graph6(g), gamma, hyp.m_value, pg.n, None, None,
             complete_m, "cap-exceeded")
-    properly = omega >= m_value and pg.n > m_value
+    properly = omega >= hyp.m_value and pg.n > hyp.m_value
     return CliqueExclusionReport(
-        encode_graph6(g), gamma, m_value, pg.n, omega, properly,
+        encode_graph6(g), gamma, hyp.m_value, pg.n, omega, properly,
         complete_m, "checked")
 
 
@@ -297,15 +275,15 @@ def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> d
     g = parse_graph6(line)
     if not col.in_scope(g, gamma):
         return {"status": "out-of-scope", "graph6": line}
-    m_value = max_power_degree(g.max_degree(), gamma)
+    hyp = col.bound_hypotheses(g, gamma)
     pg = met.power_graph(g, gamma).graph
     rec = {
         "status": "scanned",
         "graph6": line,
-        "m_value": m_value,
-        "is_moore": all(_moore_conditions(g, gamma)),
-        "girth_2gamma": met.girth(g) == 2 * gamma,
-        "power_complete_m": power_is_complete_m(pg, m_value),
+        "m_value": hyp.m_value,
+        "is_moore": hyp.is_moore,
+        "girth_2gamma": hyp.girth_is_2gamma,
+        "power_complete_m": power_is_complete_m(pg, hyp.m_value),
         "chi": None,
     }
     try:
@@ -368,20 +346,6 @@ def conjecture_scan(
 # odd-degree case analysis (the large-Delta bound reduced to pure logic)
 
 
-def odd_degree_threshold(gamma: int) -> int:
-    """Smallest Delta with (Delta - 1)^gamma > LARGE_DEGREE, in exact integer
-    arithmetic. Above it (Delta odd, non-Moore) the M-1 bound kicks in."""
-    if gamma < 2:
-        raise ValueError("gamma must be >= 2")
-    target = LARGE_DEGREE + 1
-    x = max(2, int(round(target ** (1.0 / gamma))))
-    while x**gamma >= target:
-        x -= 1
-    while x**gamma < target:
-        x += 1
-    return x + 1
-
-
 @dataclass(frozen=True)
 class OddCaseOutcome:
     power_delta_offset: int   # Delta(G^gamma) - M: -1 or 0
@@ -408,10 +372,9 @@ def resolve_odd_degree_case(
     """Reproduce the contradiction for one case of a hypothetical odd-degree
     counterexample (non-Moore, regular, chi >= M, Delta at least the
     threshold). Pure arithmetic on (delta, gamma); no graph is built."""
-    if delta % 2 == 0:
-        raise ValueError("case analysis assumes odd maximum degree")
-    if delta < odd_degree_threshold(gamma):
-        raise ValueError("delta below the large-degree threshold")
+    if not col.large_odd_degree(delta, gamma):
+        raise ValueError("case analysis assumes an odd delta at least the "
+                         f"large-degree threshold {odd_degree_threshold(gamma)}")
     if (power_delta_offset, chi_offset) not in enumerate_odd_degree_cases():
         raise ValueError("not a feasible case: chi <= Delta(G^gamma) + 1")
     m_value = max_power_degree(delta, gamma)

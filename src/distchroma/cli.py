@@ -314,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        print("interrupted; the records written so far are kept", file=sys.stderr)
+        print("interrupted; rows already written are kept", file=sys.stderr)
         return 130
     except bnd.SoundnessViolation as err:
         print(f"SOUNDNESS VIOLATION: {err}", file=sys.stderr)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -549,7 +549,9 @@ def complete_partial_coloring(
 
 
 # ---------------------------------------------------------------------------
-# the save-a-color hypotheses and the strategies that realize them
+# the hypotheses of the bounds, and the save-a-color strategies that realize them
+
+LARGE_DEGREE = 10**14  # power-graph degree from which the large-degree clique bound holds
 
 
 def in_scope(g: Graph, gamma: int) -> bool:
@@ -561,38 +563,71 @@ def in_scope(g: Graph, gamma: int) -> bool:
     return g.max_degree() >= 3 and is_connected(g)
 
 
-@dataclass(frozen=True)
-class SaveColorHypotheses:
-    """The three sufficient conditions for chi_gamma <= M - 1, with their
-    evidence: the bound report claims each one that holds, and
-    save_color_strategy realizes the first that holds, in field order."""
+def odd_degree_threshold(gamma: int) -> int:
+    """Smallest Delta with (Delta - 1)^gamma > LARGE_DEGREE, in exact integer
+    arithmetic. Above it (Delta odd, non-Moore) the M-1 bound kicks in."""
+    if gamma < 2:
+        raise ValueError("gamma must be >= 2")
+    target = LARGE_DEGREE + 1
+    x = max(2, int(round(target ** (1.0 / gamma))))
+    while x**gamma >= target:
+        x -= 1
+    while x**gamma < target:
+        x += 1
+    return x + 1
 
+
+def large_odd_degree(delta: int, gamma: int) -> bool:
+    """The degree hypothesis of the odd-degree M-1 bound and of its case
+    analysis: Delta odd and at least odd_degree_threshold(gamma)."""
+    return delta % 2 == 1 and delta >= odd_degree_threshold(gamma)
+
+
+@dataclass(frozen=True)
+class BoundHypotheses:
+    """The plain facts of one in-scope (graph, gamma), and every hypothesis
+    of the bounds as a property of those facts alone. A Moore graph
+    (Delta-regular, order M+1, girth 2*gamma+1) has diameter gamma: the
+    depth-gamma BFS tree from any vertex holds 1 + Delta + ... +
+    Delta(Delta-1)^(gamma-1) = M+1 distinct vertices, that is, every vertex."""
+
+    gamma: int
+    n: int
     max_degree: int
     min_degree: int
     girth: int | float
-    connectivity: int | None  # computed only inside the girth window
-    required_connectivity: int
-    non_regular: bool
-    short_girth: bool
-    high_girth_connected: bool
+    connectivity: int | None  # computed only inside the high-girth window
+
+    m_value = property(lambda h: max_power_degree(h.max_degree, h.gamma))
+    is_regular = property(lambda h: h.min_degree == h.max_degree)
+    order_matches = property(lambda h: h.n == h.m_value + 1)
+    girth_is_2gamma_plus_1 = property(lambda h: h.girth == 2 * h.gamma + 1)
+    is_moore = property(
+        lambda h: h.is_regular and h.order_matches and h.girth_is_2gamma_plus_1)
+    girth_is_2gamma = property(lambda h: h.girth == 2 * h.gamma)
+    girth_not_critical = property(lambda h: not h.girth_is_2gamma_plus_1)
+    non_regular = property(lambda h: not h.is_regular)
+    short_girth = property(lambda h: h.girth <= 2 * h.gamma - 1)
+    high_girth_window = property(
+        lambda h: h.girth >= 2 * h.gamma + 2 and (h.gamma >= 3 or h.girth > 6))
+    required_connectivity = property(lambda h: 3 if h.gamma >= 3 else 4)
+    high_girth_connected = property(
+        lambda h: h.high_girth_window and h.connectivity >= h.required_connectivity)
+    odd_degree_large = property(
+        lambda h: large_odd_degree(h.max_degree, h.gamma) and not h.is_moore)
 
 
-def save_color_hypotheses(g: Graph, gamma: int) -> SaveColorHypotheses:
-    """Evaluate non-regularity, girth <= 2*gamma-1, and high girth (the
-    window below) with vertex connectivity >= 3 (gamma >= 3) or >= 4
-    (gamma = 2). Raises ValueError outside the scope of in_scope."""
+@per_graph
+def bound_hypotheses(g: Graph, gamma: int) -> BoundHypotheses:
+    """The hypotheses record of (g, gamma), made once per graph and gamma.
+    The one scope gate of the bounds and the strategies: raises ValueError
+    outside the scope of in_scope."""
     if not in_scope(g, gamma):
         raise ValueError("requires a connected graph with maximum degree >= 3")
-    delta, dmin, gir = g.max_degree(), g.min_degree(), girth(g)
-    window = gir >= 2 * gamma + 2 and (gamma >= 3 or gir > 6)
-    kappa = vertex_connectivity(g) if window else None
-    need = 3 if gamma >= 3 else 4
-    return SaveColorHypotheses(
-        delta, dmin, gir, kappa, need,
-        non_regular=dmin < delta,
-        short_girth=gir <= 2 * gamma - 1,
-        high_girth_connected=kappa is not None and kappa >= need,
-    )
+    hyp = BoundHypotheses(gamma, g.n, g.max_degree(), g.min_degree(), girth(g), None)
+    if hyp.high_girth_window:
+        hyp = replace(hyp, connectivity=vertex_connectivity(g))
+    return hyp
 
 
 @dataclass(frozen=True)
@@ -631,17 +666,16 @@ def save_color_strategy(
     cap: int = DEFAULT_EXACT_CAP,
 ) -> StrategyOutcome:
     """Try to color the gamma-th power with M-1 colors, one below the
-    largest possible power-graph degree, using the first of the
-    save_color_hypotheses that holds. Each attempt takes the next seed of
-    ``_seeds``, precolors, and completes along the distance order from the
-    seed edge; the first coloring ends the search. Otherwise the failure
-    is the last completion's, or "seed-search-exhausted" when no seed got
-    that far. Falls back to the exact solver (flagged) when the
-    constructive run fails, so callers never depend on its completeness.
-    """
-    hyp = save_color_hypotheses(g, gamma)
-    delta = hyp.max_degree
-    m_value = max_power_degree(delta, gamma)
+    largest possible power-graph degree, using the first of non_regular,
+    short_girth and high_girth_connected in bound_hypotheses that holds.
+    Each attempt takes the next seed of ``_seeds``, precolors, and
+    completes along the distance order from the seed edge; the first
+    coloring ends the search. Otherwise the failure is the last
+    completion's, or "seed-search-exhausted" when no seed got that far.
+    Falls back to the exact solver (flagged) when the constructive run
+    fails, so callers never depend on its completeness."""
+    hyp = bound_hypotheses(g, gamma)
+    delta, m_value = hyp.max_degree, hyp.m_value
     palette = m_value - 1
     hypotheses: dict = {"max_degree": delta, "min_degree": hyp.min_degree,
                         "girth": hyp.girth}

@@ -208,8 +208,10 @@ def vertex_connectivity(g: Graph) -> int:
     """Minimum vertices whose removal disconnects g or leaves one vertex.
 
     Complete graphs return n-1 by convention; disconnected graphs return 0.
-    Scans source vertices 0..k+1 (current best k), which is enough because
-    some minimum cut misses at least one of the first k+1 vertices.
+    Scans source vertices v while v < best, which is enough: while best
+    exceeds kappa, the scan reaches vertices 0..kappa, one of which lies
+    outside a minimum separator S and has a non-neighbor beyond S, which
+    brings best down to kappa; after that no further source can lower it.
     """
     if g.n <= 1:
         return 0
@@ -217,7 +219,7 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     best = g.n - 1
     v = 0
-    while v <= best and v < g.n:
+    while v < best and v < g.n:
         others = ~g.bits[v] & ((1 << g.n) - 1) & ~(1 << v)
         for u in _iter_bits(others):
             k = _local_connectivity(g, v, u)

@@ -83,18 +83,24 @@ def brute_components(g: Graph, removed: set[int]) -> int:
     return comps
 
 
-def brute_vertex_connectivity(g: Graph) -> int:
-    """Least k such that removing some k vertices disconnects the graph or
-    empties it to a single vertex; checked by trying every subset."""
-    if g.n <= 1:
-        return 0
-    if brute_components(g, set()) > 1:
-        return 0
+def brute_min_separator(g: Graph) -> tuple[int, ...] | None:
+    """A least vertex set whose removal disconnects the graph, the empty set
+    when it is disconnected; None when no set does (complete graphs, n <= 1).
+    Found by trying every subset."""
     for k in range(0, g.n - 1):
         for subset in combinations(range(g.n), k):
             if brute_components(g, set(subset)) > 1:
-                return k
-    return g.n - 1
+                return subset
+    return None
+
+
+def brute_vertex_connectivity(g: Graph) -> int:
+    """Least k such that removing some k vertices disconnects the graph or
+    empties it to a single vertex."""
+    if g.n <= 1:
+        return 0
+    separator = brute_min_separator(g)
+    return g.n - 1 if separator is None else len(separator)
 
 
 def brute_clique_number(g: Graph) -> int:

@@ -19,15 +19,19 @@ from distchroma import (
     enumerate_odd_degree_cases,
     evaluate_bounds,
     from_edges,
+    girth,
     hoffman_singleton,
     max_power_degree,
     odd_degree_threshold,
     parse_graph6,
     petersen,
     resolve_odd_degree_case,
+    save_color_strategy,
     star_graph,
+    vertex_connectivity,
 )
 from distchroma.cli import json_value
+from distchroma.coloring import BoundHypotheses
 
 SPIDER = from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
 
@@ -365,3 +369,106 @@ def test_odd_degree_bound_not_applicable_at_desk_scale(petersen_graph):
     entry = next(e for e in rep.bounds if e.source == "odd-degree-large")
     assert not entry.applicable
     assert entry.evidence["threshold"] == 10_000_002
+
+
+# ---------------------------------------------------------------------------
+# every hypothesis just inside and just outside its boundary
+
+
+def _record(**facts) -> BoundHypotheses:
+    """A hypotheses record with no graph behind it: the facts of the
+    Petersen graph at gamma = 2, with ``facts`` put in their place."""
+    base = dict(gamma=2, n=10, max_degree=3, min_degree=3, girth=5, connectivity=None)
+    return BoundHypotheses(**{**base, **facts})
+
+
+MOORE_AT_THRESHOLD = dict(gamma=3, n=max_power_degree(46_417, 3) + 1, max_degree=46_417,
+                          min_degree=46_417, girth=7)
+
+HYPOTHESIS_BOUNDARIES = [  # (property, facts, expected value)
+    ("m_value", {}, 9),
+    ("m_value", dict(gamma=3), 21),
+    ("m_value", dict(min_degree=2), 9),
+    ("is_regular", {}, True),
+    ("is_regular", dict(min_degree=2), False),
+    ("non_regular", {}, False),
+    ("non_regular", dict(min_degree=2), True),
+    ("order_matches", {}, True),
+    ("order_matches", dict(n=9), False),
+    ("order_matches", dict(n=11), False),
+    ("girth_is_2gamma_plus_1", {}, True),
+    ("girth_is_2gamma_plus_1", dict(girth=4), False),
+    ("girth_is_2gamma_plus_1", dict(girth=6), False),
+    ("girth_not_critical", {}, False),
+    ("girth_not_critical", dict(girth=4), True),
+    ("girth_not_critical", dict(girth=6), True),
+    ("girth_not_critical", dict(n=11), False),
+    ("is_moore", {}, True),
+    ("is_moore", dict(min_degree=2), False),
+    ("is_moore", dict(n=11), False),
+    ("is_moore", dict(girth=6), False),
+    ("girth_is_2gamma", dict(girth=4), True),
+    ("girth_is_2gamma", dict(girth=3), False),
+    ("girth_is_2gamma", {}, False),
+    ("short_girth", dict(girth=3), True),
+    ("short_girth", dict(girth=4), False),
+    ("short_girth", dict(gamma=3, girth=5), True),
+    ("short_girth", dict(gamma=3, girth=6), False),
+    ("high_girth_window", dict(girth=6, connectivity=4), False),
+    ("high_girth_window", dict(girth=7, connectivity=4), True),
+    ("high_girth_window", dict(gamma=3, girth=7, connectivity=3), False),
+    ("high_girth_window", dict(gamma=3, girth=8, connectivity=3), True),
+    ("high_girth_window", dict(girth=math.inf, connectivity=1), True),
+    ("required_connectivity", {}, 4),
+    ("required_connectivity", dict(gamma=3), 3),
+    ("high_girth_connected", dict(girth=6, connectivity=4), False),
+    ("high_girth_connected", dict(girth=7, connectivity=3), False),
+    ("high_girth_connected", dict(girth=7, connectivity=4), True),
+    ("high_girth_connected", dict(gamma=3, girth=8, connectivity=2), False),
+    ("high_girth_connected", dict(gamma=3, girth=8, connectivity=3), True),
+    ("odd_degree_large", dict(gamma=3, n=10**6, max_degree=46_415), False),
+    ("odd_degree_large", dict(gamma=3, n=10**6, max_degree=46_416), False),
+    ("odd_degree_large", dict(gamma=3, n=10**6, max_degree=46_417), True),
+    ("odd_degree_large", dict(gamma=3, n=10**6, max_degree=46_418), False),
+    ("odd_degree_large", MOORE_AT_THRESHOLD, False),
+]
+
+
+@pytest.mark.parametrize(
+    "prop, facts, expected", HYPOTHESIS_BOUNDARIES,
+    ids=[f"{prop}-{i}" for i, (prop, _, _) in enumerate(HYPOTHESIS_BOUNDARIES)])
+def test_hypotheses_at_their_boundaries(prop, facts, expected):
+    """Each hypothesis is a function of the record's facts alone, so it is
+    put on both sides of its boundary with no graph built, even where the
+    boundary lies at a degree of 46,417, odd_degree_threshold(3)."""
+    assert getattr(_record(**facts), prop) == expected
+
+
+@pytest.mark.parametrize("n, applicable", [(216, False), (217, False), (218, True)])
+def test_odd_degree_large_on_stars_at_gamma6(n, applicable):
+    """At gamma = 6 the threshold is 217, an odd degree that a star reaches:
+    Delta = 215 is below it, 216 is even, and 217 is odd and at it."""
+    rep = evaluate_bounds(star_graph(n), 6)
+    entry = next(e for e in rep.bounds if e.source == "odd-degree-large")
+    assert entry.evidence == {"delta": n - 1, "threshold": 217}
+    assert entry.applicable == applicable
+
+
+def pg23_incidence():
+    """The point-line incidence graph of PG(2, 3): point i meets line 13 + j
+    iff (j - i) mod 13 is in the difference set {0, 1, 3, 9}."""
+    return from_edges(26, [(i, 13 + j) for i in range(13) for j in range(13)
+                           if (j - i) % 13 in (0, 1, 3, 9)])
+
+
+def test_pg23_incidence_graph_lies_below_the_gamma2_high_girth_window():
+    """Girth 6 is one below the window's 7 at gamma = 2, although the
+    connectivity, 4, meets the requirement: neither the bound nor the
+    strategy claims high girth."""
+    g = pg23_incidence()
+    assert (g.n, g.degrees(), girth(g), vertex_connectivity(g)) == (26, [4] * 26, 6, 4)
+    rep = evaluate_bounds(g, 2)
+    entry = next(e for e in rep.bounds if e.source == "high-girth-connected")
+    assert not entry.applicable and entry.evidence["connectivity"] is None
+    assert rep.exact_chi == 13
+    assert save_color_strategy(g, 2).applied == "not-applicable"

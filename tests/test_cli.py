@@ -615,7 +615,7 @@ def test_scan_interrupted_then_resumed_equals_uninterrupted(
     assert out.read_bytes() == full
 
 
-INTERRUPTED = "interrupted; the records written so far are kept\n"
+INTERRUPTED = "interrupted; rows already written are kept\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

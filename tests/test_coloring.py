@@ -711,16 +711,16 @@ def test_strategy_on_larger_cubic_graph_with_triangle():
 def test_high_girth_gamma2_mechanics_on_mcgee(monkeypatch):
     """No graph with connectivity >= 4 and girth > 6 exists at test scale
     (the smallest is far larger), so the gamma=2 seeding is exercised on
-    the McGee graph with the high-girth hypothesis forced on: girth 7 gives
-    the same seed geometry, and its pair-deleted subgraph happens to stay
+    the McGee graph with its connectivity recorded as 4: girth 7 gives the
+    same seed geometry, and its pair-deleted subgraph happens to stay
     connected."""
     from dataclasses import replace
 
     from distchroma import coloring, lcf_graph
 
-    real = coloring.save_color_hypotheses
-    monkeypatch.setattr(coloring, "save_color_hypotheses", lambda g, gamma: replace(
-        real(g, gamma), high_girth_connected=True))
+    real = coloring.bound_hypotheses
+    monkeypatch.setattr(coloring, "bound_hypotheses", lambda g, gamma: replace(
+        real(g, gamma), connectivity=4))
     g = lcf_graph(24, (12, 7, -7), 8)  # cubic, girth 7
     assert girth(g) == 7
     pg = power_graph(g, 2)

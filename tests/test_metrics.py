@@ -186,7 +186,14 @@ def test_connectivity_matches_subset_oracle(corpus_lines):
 @given(graphs(max_n=7))
 @settings(max_examples=80, deadline=None)
 def test_connectivity_matches_oracle_random(g):
-    assert vertex_connectivity(g) == oracles.brute_vertex_connectivity(g)
+    """Also with a minimum separator relabelled onto the lowest indices,
+    where the scan of source vertices starts."""
+    kappa = oracles.brute_vertex_connectivity(g)
+    assert vertex_connectivity(g) == kappa
+    separator = oracles.brute_min_separator(g) or ()
+    order = [*separator, *(v for v in range(g.n) if v not in separator)]
+    pos = {v: i for i, v in enumerate(order)}
+    assert vertex_connectivity(from_edges(g.n, [(pos[u], pos[v]) for u, v in g.edges])) == kappa
 
 
 def test_connectivity_at_most_min_degree(corpus_lines):
@@ -318,11 +325,11 @@ def test_max_power_degree_is_geometric_sum(delta, gamma):
     )
 
 
-def test_save_color_hypotheses_read_the_girth_pass(petersen_graph):
+def test_bound_hypotheses_read_the_girth_pass(petersen_graph):
     from distchroma import tutte_coxeter
-    from distchroma.coloring import save_color_hypotheses
+    from distchroma.coloring import bound_hypotheses
 
     for g in [petersen_graph, complete_graph(5), tutte_coxeter()]:
         for gamma in (2, 3):
-            hyp = save_color_hypotheses(g, gamma)
+            hyp = bound_hypotheses(g, gamma)
             assert hyp.girth == girth(g) == len(shortest_cycle(g))

@@ -52,3 +52,29 @@ def test_only_the_search_reads_the_clock_in_coloring():
              if site[0] == "coloring.py"]
     assert [fn for _, fn, _ in sites] == ["_solve_k", "chromatic_number"]
     assert sites[1][2].startswith("deadline = time.monotonic() + time_budget")
+
+
+def test_in_scope_is_asked_only_at_the_scope_gates():
+    """bound_hypotheses is the one scope gate of the bounds and the
+    strategies; scan_one and the CLI's corpus bounds ask in_scope only to
+    report a graph as out of scope instead of failing on it."""
+    sites = _sites(lambda node: isinstance(node, ast.Call) and "in_scope" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert [(name, fn) for name, fn, _ in sites] == [
+        ("bounds.py", "scan_one"), ("cli.py", "_eval_one"),
+        ("coloring.py", "bound_hypotheses")]
+
+
+def test_every_listed_mutant_still_applies():
+    """tools/mutants.py replaces each old text once; a line edited since
+    would leave a mutant that changes nothing, so each must occur once."""
+    import importlib.util
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    counts = {m.name: (root / m.file).read_text(encoding="utf-8").count(m.old)
+              for m in mutants.MUTANTS}
+    assert counts == {m.name: 1 for m in mutants.MUTANTS}
+    assert all(m.old != m.new for m in mutants.MUTANTS)
