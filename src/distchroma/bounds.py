@@ -273,9 +273,10 @@ def scan_one(line: str, gamma: int, exact_cap: int = col.DEFAULT_EXACT_CAP) -> d
     """Classify one graph6 line; returns a plain dict so pool workers can
     ship it cheaply."""
     g = parse_graph6(line)
-    if not col.in_scope(g, gamma):
+    try:
+        hyp = col.bound_hypotheses(g, gamma)
+    except col.OutOfScopeError:
         return {"status": "out-of-scope", "graph6": line}
-    hyp = col.bound_hypotheses(g, gamma)
     pg = met.power_graph(g, gamma).graph
     rec = {
         "status": "scanned",

@@ -137,12 +137,13 @@ def _eval_one(line: str, gamma: int, cap: int, timeout: float | None,
               fmt: str) -> str:
     """The output line of one graph6 line: its csv row, or its JSON report."""
     g = parse_graph6(line)
-    if not col.in_scope(g, gamma):
+    try:
+        report = bnd.evaluate_bounds(g, gamma, exact_cap=cap, time_budget=timeout)
+    except col.OutOfScopeError:
         if fmt == "csv":
             return _csv_line(line, g.n, g.max_degree(), gamma, None, None, None,
                              "out-of-scope")
         return _dumps({"graph6": line, "status": "out-of-scope"})
-    report = bnd.evaluate_bounds(g, gamma, exact_cap=cap, time_budget=timeout)
     if fmt == "csv":
         return _csv_line(report.graph6, g.n, report.delta, gamma, report.m_value,
                          report.best_bound, report.exact_chi, report.equality_class)

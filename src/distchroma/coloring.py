@@ -327,14 +327,18 @@ def chromatic_number(
     Tabucol run from the best coloring so far, until a search fails or ub
     reaches lb. A node budget bounds each search and the Tabucol steps
     beside it; a stop raises SolverBudgetError with the bracket [lb, ub].
-    The one return checks the witness proper, searched or not.
+    A complete graph gets chi = n and the identity without a search. The
+    one return checks the witness proper, searched or not.
     """
     if g.n > cap:
         raise SolverCapError(f"exact solver capped at n={cap}, got n={g.n}")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    omega, _ = max_clique(g)
-    witness = dsatur_upper_bound(g)  # its count is ub
-    lb = omega if witness.k == omega else max(omega, -(-g.n // _independence_number(g)))
+    if 2 * g.m == g.n * (g.n - 1):  # K_n: the identity, DSATUR's own witness
+        witness, lb = Coloring(tuple(range(g.n)), g.n), g.n
+    else:
+        omega, _ = max_clique(g)
+        witness = dsatur_upper_bound(g)  # its count is ub
+        lb = omega if witness.k == omega else max(omega, -(-g.n // _independence_number(g)))
     try:
         while witness.k > lb:
             found = _solve_k(g, witness.k - 1, node_budget, deadline, _tabucol(g, witness))
@@ -554,6 +558,10 @@ def complete_partial_coloring(
 LARGE_DEGREE = 10**14  # power-graph degree from which the large-degree clique bound holds
 
 
+class OutOfScopeError(ValueError):
+    """bound_hypotheses refused a graph outside the scope of in_scope."""
+
+
 def in_scope(g: Graph, gamma: int) -> bool:
     """Whether g is in the setting of the bounds and the strategies:
     connected with maximum degree >= 3. A gamma below 2 is a usage error,
@@ -620,10 +628,10 @@ class BoundHypotheses:
 @per_graph
 def bound_hypotheses(g: Graph, gamma: int) -> BoundHypotheses:
     """The hypotheses record of (g, gamma), made once per graph and gamma.
-    The one scope gate of the bounds and the strategies: raises ValueError
-    outside the scope of in_scope."""
+    The one scope gate of the bounds and the strategies: raises
+    OutOfScopeError, a ValueError, outside the scope of in_scope."""
     if not in_scope(g, gamma):
-        raise ValueError("requires a connected graph with maximum degree >= 3")
+        raise OutOfScopeError("requires a connected graph with maximum degree >= 3")
     hyp = BoundHypotheses(gamma, g.n, g.max_degree(), g.min_degree(), girth(g), None)
     if hyp.high_girth_window:
         hyp = replace(hyp, connectivity=vertex_connectivity(g))

@@ -2,7 +2,9 @@
 
 All functions are pure and operate on immutable Graph values, so corpus
 runners may evaluate them concurrently. Infinite girth/diameter are
-modeled as ``math.inf``, never as an integer sentinel.
+modeled as ``math.inf``, never as an integer sentinel. Power graphs,
+girth and diameter read one memoized BFS walk per root (``_root_layers``);
+only ``shortest_cycle`` walks again, for its parent pointers.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import collections
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from .graphs import Graph, _iter_bits, bfs_layers, is_connected, per_graph
 
@@ -57,26 +58,62 @@ class PowerGraph:
 
 
 @per_graph
+def _root_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The BFS layers from every root, one walk per root: power graphs,
+    girth and diameter all read them."""
+    return tuple(tuple(bfs_layers(g, 1 << v)) for v in range(g.n))
+
+
+@per_graph
 def power_graph(g: Graph, gamma: int) -> PowerGraph:
     """Graph whose edges join base vertices at distance in [1, gamma]: the
     row of v is the union of the BFS layers 1..gamma from v."""
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    bits = [sum(islice(bfs_layers(g, 1 << v), 1, gamma + 1)) for v in range(g.n)]
+    bits = [sum(layers[1:gamma + 1]) for layers in _root_layers(g)]
     return PowerGraph(gamma, Graph(g.n, tuple(bits)))
 
 
 @per_graph
-def _girth_pass(g: Graph) -> tuple[int | float, tuple | None]:
-    """The girth, and the first girth-length BFS cross edge with its tree.
+def girth(g: Graph) -> int | float:
+    """Length of a shortest cycle, INFINITE for forests.
 
-    BFS from every root; a cross edge (v,u) seen at depths d(v), d(u)
-    witnesses a closed walk of length d(v)+d(u)+1 through the root, and the
-    minimum over all roots is exactly the girth. The edge is returned as
-    (v, u, parent) for the root it was seen from, or None for forests.
+    From each root, an edge inside layer d closes a cycle of length at most
+    2d+1, and a vertex of layer d+1 with two neighbors in layer d one of
+    length at most 2d+2. On a shortest cycle through the root the first
+    such hit is exact, so the minimum over the roots is the girth; a root
+    stops at the first layer that cannot beat the best so far.
     """
     best: int | float = INFINITE
-    hit = None
+    for layers in _root_layers(g):
+        for d, layer in enumerate(layers):
+            if 2 * d + 1 >= best:
+                break
+            below = layers[d + 1] if d + 1 < len(layers) else 0
+            inside = once = twice = 0
+            for v in _iter_bits(layer):
+                inside |= g.bits[v] & layer
+                nb = g.bits[v] & below
+                twice |= once & nb
+                once |= nb
+            if inside:
+                best = 2 * d + 1
+            elif twice:
+                best = 2 * d + 2
+    return best
+
+
+def shortest_cycle(g: Graph) -> list[int] | None:
+    """Vertices of one shortest cycle in order, or None for forests.
+
+    BFS from each root; a cross edge (v, u) seen at depths d(v), d(u)
+    closes a walk of length d(v)+d(u)+1 through the root. At the girth the
+    two tree paths meet only at the root (a shared vertex would close a
+    shorter cycle), so stitching them with the edge yields a simple cycle.
+    Deterministic: the first girth-length cross edge in ascending root and
+    neighbor order.
+    """
+    best = girth(g)
     for root in range(g.n):
         dist = [-1] * g.n
         parent = [-1] * g.n
@@ -91,51 +128,26 @@ def _girth_pass(g: Graph) -> tuple[int | float, tuple | None]:
                     dist[u] = dist[v] + 1
                     parent[u] = v
                     queue.append(u)
-                elif u != parent[v]:
-                    cand = dist[v] + dist[u] + 1
-                    if cand < best:
-                        best, hit = cand, (v, u, parent)
-    return best, hit
+                elif u != parent[v] and dist[v] + dist[u] + 1 == best:
+                    return _to_root(v, parent)[::-1] + _to_root(u, parent)[:-1]
+    return None
 
 
-def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, INFINITE for forests."""
-    return _girth_pass(g)[0]
-
-
-def shortest_cycle(g: Graph) -> list[int] | None:
-    """Vertices of one shortest cycle in order, or None for forests.
-
-    At the girth the two tree paths of the cross edge meet only at the root
-    (a shared vertex would close a shorter cycle), so stitching them with
-    the edge yields a simple cycle. Deterministic: the first girth-length
-    hit in ascending root and neighbor order.
-    """
-    _, hit = _girth_pass(g)
-    if hit is None:
-        return None
-    v, u, parent = hit
-
-    def to_root(a: int) -> list[int]:
-        path = []
-        while a != -1:
-            path.append(a)
-            a = parent[a]
-        return path
-
-    return to_root(v)[::-1] + to_root(u)[:-1]
+def _to_root(a: int, parent: list[int]) -> list[int]:
+    path = []
+    while a != -1:
+        path.append(a)
+        a = parent[a]
+    return path
 
 
 @per_graph
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; INFINITE when disconnected."""
-    best = 0
-    for v in range(g.n):
-        layers = list(bfs_layers(g, 1 << v))
-        if sum(layers) != (1 << g.n) - 1:
-            return INFINITE
-        best = max(best, len(layers) - 1)
-    return best
+    walks = _root_layers(g)
+    if any(sum(layers) != (1 << g.n) - 1 for layers in walks):
+        return INFINITE
+    return max((len(layers) - 1 for layers in walks), default=0)
 
 
 def two_degree_profile(g: Graph) -> list[int]:

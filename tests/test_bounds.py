@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -293,6 +294,22 @@ def test_scan_one_computes_no_diameter(gamma, corpus_lines, monkeypatch):
 
     monkeypatch.setattr(met, "diameter", no_diameter)
     assert [bnd.scan_one(ln, gamma) for ln in sample] == before
+
+
+def test_one_scope_decision_keeps_usage_errors_apart():
+    """A graph out of scope gets an out-of-scope row from scan_one and from
+    the CLI's corpus bounds; a gamma below 2 stays a usage error there."""
+    import distchroma.bounds as bnd
+    from distchroma.cli import _eval_one
+
+    for g in (cycle_graph(6), from_edges(8, SPIDER.edges + ((5, 6), (6, 7)))):
+        line = encode_graph6(g)
+        assert bnd.scan_one(line, 2) == {"status": "out-of-scope", "graph6": line}
+        assert json.loads(_eval_one(line, 2, 10, None, "jsonl"))["status"] == "out-of-scope"
+    line = encode_graph6(petersen())
+    for call in (lambda: bnd.scan_one(line, 1), lambda: _eval_one(line, 1, 10, None, "csv")):
+        with pytest.raises(ValueError, match="gamma must be >= 2"):
+            call()
 
 
 def test_scan_parallel_matches_serial(corpus_lines):

@@ -334,6 +334,7 @@ def _exception_samples():
         "GenerationError": ("cycle needs n >= 3",),
         "CliqueCapError": ("clique search capped at n=5, got 10",),
         "SolverCapError": ("exact solver capped at n=5, got n=10",),
+        "OutOfScopeError": ("requires a connected graph with maximum degree >= 3",),
         "SolverBudgetError": ("nodes", "over 3 decisions", 5, 7),
         "SpectralConvergenceError": ("no convergence",),
         "SoundnessViolation": ("chi_2 = 11 breaks bound x = 10.0", report),

@@ -59,6 +59,31 @@ def test_chromatic_complete_graph():
     assert k == 10 and w.proper_on(complete_graph(10))
 
 
+def test_complete_graphs_get_chi_n_without_a_search():
+    """K_1..K_12 and the complete powers of Petersen at gamma = 2 and of C7
+    at gamma = 3 get chi = n with the identity witness; neither the clique
+    search nor the coloring search runs."""
+    from test_graphs import _bodies_run
+
+    targets = [complete_graph(n) for n in range(1, 13)]
+    targets += [power_graph(petersen(), 2).graph, power_graph(cycle_graph(7), 3).graph]
+    results = []
+    runs = _bodies_run(lambda: results.extend(map(chromatic_number, targets)),
+                       ("max_clique", "_solve_k"))
+    assert runs == {"max_clique": 0, "_solve_k": 0}
+    assert results == [(g.n, Coloring(tuple(range(g.n)), g.n)) for g in targets]
+
+
+def test_complete_graph_minus_an_edge_is_searched():
+    from test_graphs import _bodies_run
+
+    for n in range(2, 9):
+        g = from_edges(n, complete_graph(n).edges[1:])  # drops the edge 01
+        results = []
+        runs = _bodies_run(lambda: results.append(chromatic_number(g)), ("max_clique",))
+        assert runs == {"max_clique": 1} and results[0][0] == n - 1
+
+
 def test_chi2_petersen_is_ten(petersen_graph):
     k, w = distance_chromatic_number(petersen_graph, 2)
     assert k == 10

@@ -400,11 +400,15 @@ def test_each_fact_is_computed_once_per_graph():
             power_matrix_inequalities(g, gamma)
             spectral_power_bounds(g, gamma)
 
-    runs = _bodies_run(work, ("_girth_pass", "diameter", "power_graph",
-                              "spectral_radius", "is_connected", "adjacency_matrix"))
-    # one power graph per gamma; lambda1, connectivity and A of G, G^2, G^3
-    assert runs == {"_girth_pass": 1, "diameter": 1, "power_graph": 2,
-                    "spectral_radius": 3, "is_connected": 3, "adjacency_matrix": 3}
+    runs = _bodies_run(work, ("_root_layers", "girth", "diameter", "power_graph",
+                              "shortest_cycle", "spectral_radius", "is_connected",
+                              "adjacency_matrix"))
+    # one BFS walk per root of G, read by its girth, diameter and powers; one
+    # power graph per gamma; the strategy's cycle walk once per gamma; lambda1,
+    # connectivity and A of G, G^2, G^3
+    assert runs == {"_root_layers": 1, "girth": 1, "diameter": 1, "power_graph": 2,
+                    "shortest_cycle": 2, "spectral_radius": 3, "is_connected": 3,
+                    "adjacency_matrix": 3}
 
 
 def test_facts_are_freed_with_their_graph():

@@ -17,10 +17,12 @@ from distchroma import (
     bfs_distances,
     clique_number,
     complete_graph,
+    complete_bipartite,
     cycle_graph,
     diameter,
     from_edges,
     girth,
+    graph_from_spec,
     invariants,
     is_connected,
     max_clique,
@@ -145,6 +147,29 @@ def test_girth_matches_per_edge_oracle(corpus_lines):
 @settings(max_examples=150, deadline=None)
 def test_girth_matches_oracle_random(g):
     assert girth(g) == oracles.brute_girth(g)
+
+
+def test_layer_girth_matches_oracle_on_powers_and_named_graphs(corpus_lines):
+    """The girth read off the BFS layers equals the per-edge oracle on every
+    10th corpus graph, its square and its cube, and on the named graphs."""
+    for line in corpus_lines[::10]:
+        g = parse_graph6(line)
+        for target in (g, power_graph(g, 2).graph, power_graph(g, 3).graph):
+            assert girth(target) == oracles.brute_girth(target), line
+    for spec in ("petersen", "hoffman-singleton", "tutte-coxeter", "torus:5,7", "hex:8,8"):
+        g = graph_from_spec(spec)
+        assert girth(g) == oracles.brute_girth(g), spec
+
+
+@pytest.mark.parametrize("g, expected", [
+    (cycle_graph(4), 4), (complete_bipartite(3, 3), 4),  # only the even test fires
+    (cycle_graph(5), 5), (complete_graph(4), 3),  # only the odd test fires
+    (from_edges(7, [(0, 1), (1, 2), (1, 3), (4, 5)]), INFINITE),  # a forest
+], ids=["C4", "K33", "C5", "K4", "forest"])
+def test_girth_from_one_layer_test(g, expected):
+    """An edge inside layer d closes an odd cycle of length 2d+1; a vertex of
+    layer d+1 with two neighbors in layer d an even one of length 2d+2."""
+    assert girth(g) == expected
 
 
 def test_shortest_cycle_is_a_girth_cycle(petersen_graph):

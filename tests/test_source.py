@@ -56,13 +56,12 @@ def test_only_the_search_reads_the_clock_in_coloring():
 
 def test_in_scope_is_asked_only_at_the_scope_gates():
     """bound_hypotheses is the one scope gate of the bounds and the
-    strategies; scan_one and the CLI's corpus bounds ask in_scope only to
-    report a graph as out of scope instead of failing on it."""
+    strategies; scan_one and the CLI's corpus bounds catch its
+    OutOfScopeError to report a graph as out of scope, so one scope
+    decision per graph serves both the row and the record."""
     sites = _sites(lambda node: isinstance(node, ast.Call) and "in_scope" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None)))
-    assert [(name, fn) for name, fn, _ in sites] == [
-        ("bounds.py", "scan_one"), ("cli.py", "_eval_one"),
-        ("coloring.py", "bound_hypotheses")]
+    assert [(name, fn) for name, fn, _ in sites] == [("coloring.py", "bound_hypotheses")]
 
 
 def test_every_listed_mutant_still_applies():

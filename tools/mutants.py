@@ -13,7 +13,9 @@ the mutant there, runs the test expected to kill it, and prints one line:
 The checkout itself is never edited. A mutant's old text must occur once
 in its file; ``tests/test_source.py`` checks that, so the list cannot go
 stale without Tier-1 saying so. The list holds every hypothesis of
-``coloring.BoundHypotheses`` and the guards around it. A full run takes a
+``coloring.BoundHypotheses`` and the guards around it, the two layer tests
+of ``metrics.girth``, and the complete-graph shortcut of
+``coloring.chromatic_number``. A full run takes a
 few seconds per mutant; it is not part of Tier-1.
 
 Usage: python tools/mutants.py [NAME ...]   (default: every mutant)
@@ -71,6 +73,16 @@ MUTANTS = (
            "which lies outside a minimum separator S and has a non-neighbor beyond "
            "S, so best reaches kappa before v does; a source at v = best = kappa "
            "cannot lower it further"),
+    Mutant("girth-without-odd-layer-test", "src/distchroma/metrics.py",
+           "if inside:", "if False:", "tests/test_metrics.py::test_girth_from_one_layer_test"),
+    Mutant("girth-even-test-on-one-neighbor", "src/distchroma/metrics.py",
+           "elif twice:", "elif once:", "tests/test_metrics.py::test_girth_from_one_layer_test"),
+    Mutant("girth-even-cycle-one-longer", "src/distchroma/metrics.py",
+           "best = 2 * d + 2", "best = 2 * d + 3",
+           "tests/test_metrics.py::test_girth_from_one_layer_test"),
+    Mutant("complete-shortcut-admits-one-missing-edge", "src/distchroma/coloring.py",
+           "2 * g.m == g.n * (g.n - 1)", "2 * g.m >= g.n * (g.n - 1) - 2",
+           "tests/test_coloring.py::test_complete_graph_minus_an_edge_is_searched"),
     # one per hypothesis of the record
     Mutant("m-value-of-min-degree", HYP,
            "max_power_degree(h.max_degree, h.gamma)", "max_power_degree(h.min_degree, h.gamma)",
